@@ -6,8 +6,8 @@ S1..S4, the diagonals Delta1..Delta3 and the conic pencils f1, f2, f3 --
 satisfy a small list of exact relations, checked here one by one.
 """
 
-from bidouble import (DivisorClass, arithmetic_genus, pair,
-                      riemann_roch_chi, standard_quadrilateral)
+from bidouble import (DivisorClass, arithmetic_genus, riemann_roch_chi,
+                      standard_quadrilateral)
 
 cfg = standard_quadrilateral()
 lat = cfg.lattice
@@ -21,7 +21,7 @@ names = ["Delta1", "Delta2", "Delta3", "S1", "S2", "S3", "S4",
 for name in names:
     cls = cfg.cls(name)
     print(f"{name:7s} = {str(cls):24s} self-intersection {cls.dot(cls):3d}"
-          f"  K-degree {pair(K, cls):3d}")
+          f"  K-degree {K.dot(cls):3d}")
 print()
 
 # the relation list
@@ -33,11 +33,11 @@ assert -1 * K == d1 + d2 + d3 == f1 + d1 == f2 + d2 == f3 + d3
 print("-K = Delta1+Delta2+Delta3 = f_i + Delta_i           OK")
 for i, d in enumerate((d1, d2, d3), 1):
     for j, f in enumerate((f1, f2, f3), 1):
-        assert pair(d, f) == (2 if i == j else 0)
+        assert d.dot(f) == (2 if i == j else 0)
 print("Delta_i . f_j = 2 delta_ij                          OK")
 for d in (d1, d2, d3):
     for s in ("S1", "S2", "S3", "S4"):
-        assert pair(d, cfg.cls(s)) == 0
+        assert d.dot(cfg.cls(s)) == 0
 print("the diagonals are disjoint from the sides           OK")
 print()
 

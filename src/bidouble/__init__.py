@@ -2,8 +2,7 @@
 interpolation, binary codes of nodal curves and bidouble-cover invariants."""
 
 from .lattice import (BlowupLattice, DivisorClass, LatticeMismatchError,
-                      arithmetic_genus, castelnuovo_bound, mod2, pair,
-                      riemann_roch_chi)
+                      arithmetic_genus, castelnuovo_bound, riemann_roch_chi)
 from .plane import (CatalogueGapError, CurveEntry, FatPointSystem,
                     PointConfiguration, class_to_system,
                     effective_decompositions, h0_class, h0_fat_points,

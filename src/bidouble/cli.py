@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .codes import code_of_classes, is_doubly_even, isotropy_bound_holds, weights
-from .covers import RelationError
+from .codes import (EnumerationCapError, code_of_classes, is_doubly_even,
+                    isotropy_bound_holds, weights)
+from .covers import InvariantConsistencyError, RelationError
 from .lattice import BlowupLattice
 from .plane import FatPointSystem, h0_fat_points, standard_quadrilateral
 from .scenarios import (SCENARIO_NAMES, ScenarioAbort, load_document,
@@ -36,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", choices=(*SCENARIO_NAMES, "all"))
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scenario workers for 'all'")
 
     p = sub.add_parser("custom", help="run the pipeline on a cover document")
     p.add_argument("path")
@@ -62,12 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     names = list(SCENARIO_NAMES) if args.scenario == "all" else [args.scenario]
     try:
-        if args.jobs > 1 and len(names) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(lambda n: run_scenario(n, args.seed),
-                                        names))
-        else:
-            reports = [run_scenario(n, args.seed) for n in names]
+        reports = [run_scenario(n, args.seed) for n in names]
     except ScenarioAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -100,7 +93,7 @@ def _cmd_custom(args) -> int:
         return 2
     try:
         report = run_custom(doc, seed=args.seed)
-    except RelationError as exc:
+    except (RelationError, InvariantConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (KeyError, TypeError, ValueError) as exc:
@@ -153,13 +146,18 @@ def _cmd_code(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        dist = weights(code)
+    except EnumerationCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lhs, rhs, holds = isotropy_bound_holds(classes, lat)
     report = {
         "fixture": doc.get("name", "unnamed"),
         "k": code.length,
         "dim": code.dim,
         "generators": code.to_rows(),
-        "weights": sorted([w, c] for w, c in weights(code).items()),
+        "weights": sorted([w, c] for w, c in dist.items()),
         "doubly_even": is_doubly_even(code),
         "isotropy": {"lhs": lhs, "rhs": rhs, "holds": holds},
     }

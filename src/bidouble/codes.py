@@ -14,10 +14,7 @@ length s pushed through the coordinate-doubling injection
 
 from __future__ import annotations
 
-import random
 from collections import Counter
-
-import numpy as np
 
 from .lattice import BlowupLattice
 
@@ -44,47 +41,51 @@ class EnumerationCapError(ValueError):
     """The code is too large to enumerate exactly."""
 
 
-def _rref2(rows: np.ndarray) -> np.ndarray:
-    """Reduced row-echelon form over F_2, zero rows dropped."""
-    mat = (np.array(rows, dtype=np.uint8) % 2).reshape(len(rows), -1).copy()
-    nrows, ncols = mat.shape
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i, c]), None)
-        if piv is None:
-            continue
-        mat[[r, piv]] = mat[[piv, r]]
-        for i in range(nrows):
-            if i != r and mat[i, c]:
-                mat[i] ^= mat[r]
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r]
+def _bits(row, length: int) -> int:
+    """A 0/1 row (entries read mod 2) or an int as an F_2 vector, bit j for
+    coordinate j."""
+    if isinstance(row, int):
+        if row < 0 or row >> length:
+            raise ValueError(f"{row} is not a vector of length {length}")
+        return row
+    row = list(row)
+    if len(row) != length:
+        raise ValueError(f"row of length {len(row)}, expected {length}")
+    return sum((int(b) & 1) << j for j, b in enumerate(row))
 
 
-def _kernel2(mat: np.ndarray) -> np.ndarray:
-    """Basis of the right kernel of ``mat`` over F_2 (rows of length k)."""
-    mat = np.array(mat, dtype=np.uint8) % 2
-    nrows, ncols = mat.shape
-    red = _rref2(mat) if nrows else np.zeros((0, ncols), dtype=np.uint8)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r < len(red) and red[r, c]:
-            pivots.append(c)
-            r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, p in enumerate(pivots):
-            basis[row, p] = red[i, f]
-    return basis
+def _rref2(rows) -> list[int]:
+    """Reduced row-echelon form over F_2, zero rows dropped.
+
+    The pivot of a row is its lowest set bit; rows come out by increasing
+    pivot, and each pivot bit is set in its own row only.
+    """
+    basis: list[int] = []
+    for row in rows:
+        for b in basis:
+            if row & b & -b:
+                row ^= b
+        if row:
+            pivot = row & -row
+            basis = [b ^ row if b & pivot else b for b in basis]
+            basis.append(row)
+    return sorted(basis, key=lambda b: b & -b)
+
+
+def _span(rows):
+    """Every F_2 combination of the int ``rows``, in Gray-code order: one
+    XOR per word."""
+    word = 0
+    yield word
+    for i in range(1, 1 << len(rows)):
+        word ^= rows[(i & -i).bit_length() - 1]
+        yield word
 
 
 class BinaryCode:
     """A subspace of F_2^k, stored by a reduced row-echelon generator matrix.
+
+    ``generators`` holds its rows as ints, coordinate j in bit j.
 
     >>> BinaryCode(4, [[1, 1, 1, 1]]).dim
     1
@@ -92,12 +93,7 @@ class BinaryCode:
 
     def __init__(self, length: int, generators=()):
         self.length = int(length)
-        rows = list(generators)
-        if rows:
-            gens = np.array(rows, dtype=np.uint8).reshape(len(rows), length) % 2
-            self.generators = _rref2(gens)
-        else:
-            self.generators = np.zeros((0, length), dtype=np.uint8)
+        self.generators = _rref2(_bits(row, self.length) for row in generators)
 
     @property
     def dim(self) -> int:
@@ -110,9 +106,10 @@ class BinaryCode:
         A coordinate appears iff some generator is nonzero there, the code
         being closed under addition.
         """
-        if self.dim == 0:
-            return ()
-        return tuple(int(j) for j in np.flatnonzero(self.generators.any(axis=0)))
+        mask = 0
+        for g in self.generators:
+            mask |= g
+        return tuple(j for j in range(self.length) if mask >> j & 1)
 
     @property
     def appearing(self) -> int:
@@ -120,25 +117,19 @@ class BinaryCode:
         return len(self.support)
 
     def elements(self):
-        """Iterate over all 2^dim code words (no cap check here)."""
-        for mask in range(1 << self.dim):
-            v = np.zeros(self.length, dtype=np.uint8)
-            for i in range(self.dim):
-                if mask >> i & 1:
-                    v ^= self.generators[i]
-            yield v
+        """Iterate over all 2^dim code words as 0/1 tuples (no cap check)."""
+        for word in _span(self.generators):
+            yield tuple(word >> j & 1 for j in range(self.length))
 
     def contains(self, vec) -> bool:
-        v = np.array(vec, dtype=np.uint8) % 2
-        stacked = np.vstack([self.generators, v]) if self.dim else v.reshape(1, -1)
-        return len(_rref2(stacked)) == self.dim
+        return len(_rref2([*self.generators, _bits(vec, self.length)])) == self.dim
 
     def to_rows(self) -> list[list[int]]:
-        return [[int(b) for b in row] for row in self.generators]
+        return [[g >> j & 1 for j in range(self.length)] for g in self.generators]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BinaryCode) and self.length == other.length
-                and np.array_equal(self.generators, other.generators))
+                and self.generators == other.generators)
 
     def __repr__(self) -> str:
         return f"BinaryCode(length={self.length}, dim={self.dim})"
@@ -163,56 +154,49 @@ def code_of_classes(classes, lat: BlowupLattice) -> BinaryCode:
     """
     classes = list(classes)
     _check_nodal(classes, lat)
-    k = len(classes)
-    if k == 0:
-        return BinaryCode(0)
-    mat = np.array([c.mod2() for c in classes], dtype=np.uint8).T  # (1+n) x k
-    return BinaryCode(k, _kernel2(mat))
+    # augmented rows: image of C_j in bits 0..n, then bit n+1+j; the reduced
+    # rows whose image part vanishes span the kernel
+    shift = lat.rank
+    rows = _rref2(_bits(c.mod2(), shift) | 1 << (shift + j)
+                  for j, c in enumerate(classes))
+    kernel = [row >> shift for row in rows if not row & ((1 << shift) - 1)]
+    return BinaryCode(len(classes), kernel)
 
 
-def weights(code: BinaryCode, cap: int = ENUMERATION_CAP,
-            sample: int = 1024) -> Counter:
-    """Multiset of codeword weights.
+def weights(code: BinaryCode) -> Counter:
+    """Multiset of codeword weights, by exhaustive enumeration.
 
-    Exhaustive for dim <= cap; beyond the cap a deterministic random sample
-    of codewords is weighed instead (the result is then only indicative).
+    Raises EnumerationCapError when the dimension passes ENUMERATION_CAP.
     """
-    if code.dim <= cap:
-        return Counter(int(v.sum()) for v in code.elements())
-    rng = random.Random(0)
-    out = Counter()
-    for _ in range(sample):
-        v = np.zeros(code.length, dtype=np.uint8)
-        for g in code.generators:
-            if rng.getrandbits(1):
-                v ^= g
-        out[int(v.sum())] += 1
-    return out
-
-
-def is_doubly_even(code: BinaryCode, cap: int = ENUMERATION_CAP) -> bool:
-    """True iff every codeword weight is divisible by 4 (exhaustive check)."""
-    if code.dim > cap:
+    if code.dim > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"dim {code.dim} exceeds the enumeration cap {cap}")
-    return all(int(v.sum()) % 4 == 0 for v in code.elements())
+            f"dim {code.dim} exceeds the enumeration cap {ENUMERATION_CAP}")
+    return Counter(word.bit_count() for word in _span(code.generators))
+
+
+def is_doubly_even(code: BinaryCode) -> bool:
+    """True iff every codeword weight is divisible by 4.
+
+    Since wt(a + b) = wt(a) + wt(b) - 2 wt(a & b), this holds exactly when
+    every generator has weight 0 mod 4 and every two generators overlap in
+    an even number of coordinates (MacWilliams & Sloane, ch. 1).
+    """
+    gens = code.generators
+    return (all(g.bit_count() % 4 == 0 for g in gens)
+            and all((a & b).bit_count() % 2 == 0
+                    for i, a in enumerate(gens) for b in gens[i + 1:]))
 
 
 def de_code(s: int) -> BinaryCode:
     """The doubly-even code DE(s) of length 2s and dimension s-1.
 
-    >>> sorted(int(v.sum()) for v in de_code(2).elements())
+    >>> sorted(sum(v) for v in de_code(2).elements())
     [0, 4]
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    gens = []
-    for i in range(s - 1):
-        row = [0] * (2 * s)
-        row[2 * i] = row[2 * i + 1] = 1
-        row[2 * i + 2] = row[2 * i + 3] = 1
-        gens.append(row)
-    return BinaryCode(2 * s, gens)
+    # generator i is 1 at coordinates 2i, 2i+1, 2i+2, 2i+3
+    return BinaryCode(2 * s, [0b1111 << 2 * i for i in range(s - 1)])
 
 
 def isotropy_bound(code: BinaryCode, picard_rank: int):

@@ -20,10 +20,8 @@ __all__ = [
     "LatticeMismatchError",
     "DivisorClass",
     "BlowupLattice",
-    "pair",
     "arithmetic_genus",
     "riemann_roch_chi",
-    "mod2",
     "castelnuovo_bound",
 ]
 
@@ -171,11 +169,6 @@ class BlowupLattice:
         return cls
 
 
-def pair(a: DivisorClass, b: DivisorClass) -> int:
-    """Intersection pairing; symmetric and bilinear."""
-    return a.dot(b)
-
-
 def arithmetic_genus(d: DivisorClass) -> int:
     """p_a(D) = D(D+K)/2 + 1 via the adjunction formula.
 
@@ -194,11 +187,6 @@ def riemann_roch_chi(d: DivisorClass) -> int:
     s = d.dot(d) - d.dot(k)
     assert s % 2 == 0
     return 1 + s // 2
-
-
-def mod2(d: DivisorClass) -> tuple[int, ...]:
-    """Image of the class in Pic/2Pic as a bit vector of length 1+n."""
-    return d.mod2()
 
 
 def castelnuovo_bound(d: int, r: int) -> int:

@@ -461,6 +461,8 @@ def run_custom(doc: dict, seed: int = 0) -> dict:
     Raises ValueError/KeyError on malformed documents and RelationError
     when the data does not validate.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("a cover document must be a JSON object")
     cfg = _config_for(doc)(seed)
     bd = cover_from_document(doc, cfg)
     l3 = covers.validate(bd)

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
-import numpy as np
 import pytest
+
+import bidouble
 
 from bidouble.codes import (BinaryCode, EnumerationCapError, NodalInputError,
                             code_of_classes, de_code, is_doubly_even,
@@ -20,6 +26,22 @@ def _load_fixture(name):
     doc = load_document(data_path(name))
     lat = BlowupLattice(doc["lattice_n"])
     return lat, [lat.from_vector(v) for v in doc["classes"]]
+
+
+def _span(rows):
+    """Brute-force row span of int rows over F_2, as a set of ints."""
+    span = {0}
+    for row in rows:
+        span |= {s ^ row for s in span}
+    return span
+
+
+def _xor_subset(rng, pool):
+    out = 0
+    for row in pool:
+        if rng.getrandbits(1):
+            out ^= row
+    return out
 
 
 def test_sides_code():
@@ -57,13 +79,9 @@ def test_kernel_image_dimensions():
         k = rng.randint(1, len(classes))
         subset = rng.sample(classes, k)
         v = code_of_classes(subset, lat)
-        mat = np.array([c.mod2() for c in subset], dtype=np.uint8).reshape(k, -1)
+        rows = [sum(b << j for j, b in enumerate(c.mod2())) for c in subset]
         # exact F2 rank oracle: brute enumeration of the row span
-        span = {(0,) * lat.rank}
-        for row in mat:
-            span |= {tuple((np.array(s, dtype=np.uint8) ^ row).tolist())
-                     for s in span}
-        exact_im = len(span).bit_length() - 1
+        exact_im = len(_span(rows)).bit_length() - 1
         assert v.dim + exact_im == k
 
 
@@ -80,14 +98,13 @@ def test_kernel_matches_brute_force():
                 total = total + c
         if all(x % 2 == 0 for x in total.to_vector()):
             brute.append(tuple(mask >> i & 1 for i in range(len(classes))))
-    members = sorted(tuple(int(b) for b in w) for w in v.elements())
-    assert sorted(brute) == members
+    assert sorted(brute) == sorted(v.elements())
 
 
 def test_code_closed_under_addition():
     lat, classes = _load_fixture("nodal10_rank14.json")
     v = code_of_classes(classes, lat)
-    members = [tuple(int(x) for x in w) for w in v.elements()]
+    members = list(v.elements())
     mset = set(members)
     for a in members:
         for b in members:
@@ -134,8 +151,7 @@ def test_synthetic_isotropy_violation():
 def test_de_code():
     assert de_code(1).dim == 0 and de_code(1).length == 2
     v2 = de_code(2)
-    assert sorted(tuple(int(b) for b in w) for w in v2.elements()) == \
-        [(0, 0, 0, 0), (1, 1, 1, 1)]
+    assert sorted(v2.elements()) == [(0, 0, 0, 0), (1, 1, 1, 1)]
     v5 = de_code(5)
     assert v5.dim == 4 and v5.length == 10
     assert set(weights(v5)) <= {0, 4, 8}
@@ -157,12 +173,57 @@ def test_not_doubly_even():
 
 
 def test_enumeration_cap():
-    big = BinaryCode(22, np.eye(21, 22, dtype=np.uint8))
+    # is_doubly_even needs no enumeration, so it answers past the cap
+    assert de_code(22).dim == 21 and is_doubly_even(de_code(22))
+    big = BinaryCode(22, [[int(i == j) for j in range(22)] for i in range(21)])
     assert big.dim == 21
+    assert not is_doubly_even(big)
+    # weights refuses rather than answer from a sample
     with pytest.raises(EnumerationCapError):
-        is_doubly_even(big)
-    sampled = weights(big)  # indicative sample, still a Counter
-    assert sum(sampled.values()) == 1024
+        weights(big)
+
+
+def test_doubly_even_matches_enumeration():
+    # seeded random codes of dimension <= 10 from three families: random rows,
+    # subcodes of DE(s) (doubly even), and rows of weight 4 (generator weights
+    # fine, overlaps often odd); coordinates shuffled; oracle: brute-force span
+    rng = random.Random(31)
+    seen = Counter()
+    for trial in range(300):
+        length = rng.randint(4, 14)
+        k = rng.randint(0, 10)
+        if trial % 3 == 0:
+            rows = [rng.getrandbits(length) for _ in range(k)]
+        elif trial % 3 == 1:
+            pool = [0b1111 << 2 * i for i in range(length // 2 - 1)]
+            rows = [_xor_subset(rng, pool) for _ in range(k)]
+        else:
+            rows = [sum(1 << j for j in rng.sample(range(length), 4))
+                    for _ in range(k)]
+        perm = rng.sample(range(length), length)
+        rows = [sum((r >> j & 1) << perm[j] for j in range(length)) for r in rows]
+        code = BinaryCode(length, rows)
+        span = _span(rows)
+        want = all(w.bit_count() % 4 == 0 for w in span)
+        assert is_doubly_even(code) == want, rows
+        assert weights(code) == Counter(w.bit_count() for w in span)
+        seen[want, all(g.bit_count() % 4 == 0 for g in code.generators)] += 1
+    # both answers occur, and so do codes that only the overlap test rejects
+    assert seen[True, True] and seen[False, False] and seen[False, True]
+
+
+def test_import_loads_only_the_standard_library():
+    # the package has no dependencies: a fresh interpreter that imports it
+    # loads no module from outside the standard library
+    src = str(Path(bidouble.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys; before = set(sys.modules); import bidouble; "
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+             "print(sorted(new - set(sys.stdlib_module_names) - {'bidouble'}))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "[]\n"
 
 
 def test_contains_and_eq():

@@ -104,6 +104,9 @@ def test_run_custom_relation_failure():
 def test_run_custom_malformed():
     with pytest.raises((KeyError, ValueError)):
         run_custom({"lattice_n": 5, "components": []})
+    for doc in ([], [1, 2], "example2", 7, None):
+        with pytest.raises(ValueError, match="JSON object"):
+            run_custom(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +117,7 @@ def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "bounds"]) == 0
     out = capsys.readouterr().out
     assert "5/5 checks passed" in out
-    assert main(["verify", "all", "--jobs", "2", "--format", "json"]) == 0
+    assert main(["verify", "all", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [r["scenario"] for r in payload] == list(SCENARIO_NAMES)
     assert all(r["summary"]["failed"] == 0 for r in payload)
@@ -148,6 +151,25 @@ def test_cli_custom(tmp_path, capsys):
     malformed.write_text(json.dumps({"lattice_n": 9, "components": []}))
     assert main(["custom", str(malformed)]) == 2
 
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([load_document(data_path("example2.json"))]))
+    capsys.readouterr()
+    assert main(["custom", str(array)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "JSON object" in err
+
+
+def test_cli_custom_consistency_failure_exits_1(monkeypatch, capsys):
+    from bidouble import covers
+
+    def inconsistent(*args, **kwargs):
+        raise covers.InvariantConsistencyError("P2 parts do not add up")
+
+    monkeypatch.setattr(covers, "bicanonical_decomposition", inconsistent)
+    assert main(["custom", str(data_path("example2.json"))]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: P2 parts do not add up\n"
+
 
 def test_cli_h0(capsys):
     assert main(["h0", "--degree", "5", "--mults", "1,2,1,2,2,2,1",
@@ -171,3 +193,12 @@ def test_cli_code(capsys, tmp_path):
                                "classes": [[1, 1, 1, 0, 0, 0, 0]]}))
     assert main(["code", "--fixture", str(bad)]) == 1
     assert main(["code", "--fixture", str(tmp_path / "none.json")]) == 2
+
+
+def test_cli_code_past_enumeration_cap(monkeypatch, capsys):
+    from bidouble import codes
+
+    monkeypatch.setattr(codes, "ENUMERATION_CAP", 0)
+    assert main(["code", "--fixture", str(data_path("nodal_sides.json"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "cap" in err
