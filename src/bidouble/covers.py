@@ -423,8 +423,7 @@ def full_report(bd: BidoubleData, cfg: PointConfiguration,
 
 def double_cover_chi(L: DivisorClass) -> int:
     """chi of a double cover with data 2L = branch, over a base with chi=1."""
-    k = DivisorClass(-3, (-1,) * L.n)
-    s = L.dot(L) + L.dot(k)
+    s = L.dot(L) + L.dot(BlowupLattice(L.n).canonical)
     assert s % 2 == 0
     return 2 + s // 2
 

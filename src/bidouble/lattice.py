@@ -175,16 +175,14 @@ def arithmetic_genus(d: DivisorClass) -> int:
     >>> arithmetic_genus(DivisorClass(0, (0,) * 6))
     1
     """
-    k = DivisorClass(-3, (-1,) * d.n)
-    s = d.dot(d) + d.dot(k)
+    s = d.dot(d) + d.dot(BlowupLattice(d.n).canonical)
     assert s % 2 == 0, "adjunction parity violated"
     return s // 2 + 1
 
 
 def riemann_roch_chi(d: DivisorClass) -> int:
     """chi(D) = chi(O) + D(D-K)/2 with chi(O) = 1 (rational surface)."""
-    k = DivisorClass(-3, (-1,) * d.n)
-    s = d.dot(d) - d.dot(k)
+    s = d.dot(d) - d.dot(BlowupLattice(d.n).canonical)
     assert s % 2 == 0
     return 1 + s // 2
 

@@ -12,8 +12,11 @@ The module also catalogues the named negative curves living on the blowups
 provides:
 
 * ``h0_fat_points`` -- dimension of the space of degree-d forms with
-  prescribed multiplicities, by exact rank of the interpolation matrix
-  over the rationals;
+  prescribed multiplicities, by exact rank of the interpolation matrix.
+  Points are scaled to coprime integer coordinates, so the matrix is
+  integral; its rank mod the prime 2^61 - 1 is a lower bound for the rank
+  over Q and is returned only when it is full, min(rows, cols).  Any other
+  matrix is ranked over Z by fraction-free Bareiss elimination;
 * ``h0_class`` -- h^0 of a divisor class, removing fixed parts against the
   catalogue first;
 * ``effective_decompositions`` -- a brute-force oracle listing every way to
@@ -26,6 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .lattice import BlowupLattice, DivisorClass
 
@@ -227,45 +231,57 @@ def _monomials(degree: int) -> list[tuple[int, int, int]]:
             for b in range(degree - a, -1, -1)]
 
 
-def _falling(k: int, j: int) -> int:
-    out = 1
-    for t in range(j):
-        out *= k - t
-    return out
-
-
-def _derivative_value(exp, alpha, p: Point) -> Fraction:
-    """d^alpha of x^a y^b z^c evaluated at p."""
-    val = Fraction(1)
-    for e, a, coord in zip(exp, alpha, p):
-        if a > e:
-            return Fraction(0)
-        val *= _falling(e, a) * coord ** (e - a)
-    return val
+_PRIME = 2**61 - 1
 
 
 def rank_rational(rows) -> int:
-    """Exact rank of a matrix given as an iterable of rational rows."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
+    """Exact rank over Q of an integer matrix, given as a list of rows.
+
+    The rank mod the prime 2^61 - 1 never exceeds the rank over Q, so when
+    it reaches min(rows, cols) it is certified and returned.  Otherwise the
+    rank is computed over Z by fraction-free Bareiss elimination, in which
+    every division is exact.  ``rows`` is left unchanged.
+
+    >>> rank_rational([[2**61 - 1, 0], [0, 1]])
+    2
+    """
+    if not rows or not rows[0]:
         return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+
+    def eliminate(rest, combine):
+        # column by column; the rows still to pivot keep only the columns
+        # right of the current one.  The smallest pivot keeps Bareiss's
+        # minors small (rows of points with small coordinates go first).
+        rank, prev = 0, 1
+        while rest and rest[0]:
+            nonzero = [i for i, r in enumerate(rest) if r[0]]
+            if not nonzero:
+                rest = [r[1:] for r in rest]
+                continue
+            pivot = rest.pop(min(nonzero, key=lambda i: abs(rest[i][0])))
+            rest = combine(pivot, rest, prev)
+            prev = pivot[0]
+            rank += 1
+        return rank
+
+    def mod_p(pivot, rest, prev):
+        inv = pow(pivot[0], -1, _PRIME)
+        tail = pivot[1:]
+        return [[(x - f * y) % _PRIME for x, y in zip(r[1:], tail)]
+                if (f := r[0] * inv % _PRIME) else r[1:] for r in rest]
+
+    def bareiss(pivot, rest, prev):
+        # each entry stays a minor of the matrix, so // divides exactly
+        p, tail = pivot[0], pivot[1:]
+        return [[(p * x - a * y) // prev for x, y in zip(r[1:], tail)]
+                if (a := r[0]) else [p * x // prev for x in r[1:]]
+                for r in rest]
+
+    rank = eliminate([[v % _PRIME for v in r] for r in rows], mod_p)
+    if rank == min(len(rows), len(rows[0])):
+        return rank
+    # dividing each row by its content keeps the rank and shrinks the minors
+    return eliminate([[v // (gcd(*r) or 1) for v in r] for r in rows], bareiss)
 
 
 def interpolation_dimension(points, degree: int, assignments) -> int:
@@ -274,7 +290,9 @@ def interpolation_dimension(points, degree: int, assignments) -> int:
     ``assignments`` is an iterable of (point index, multiplicity>=1); the
     multiplicity-m condition is imposed through the m(m+1)/2 partial
     derivatives of order m-1 (equivalent to all lower orders by Euler's
-    relation).  A requested multiplicity above the degree forces h^0 = 0.
+    relation).  Those conditions are homogeneous, so each point is first
+    scaled to coprime integer coordinates and the matrix is integral.  A
+    requested multiplicity above the degree forces h^0 = 0.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -282,13 +300,26 @@ def interpolation_dimension(points, degree: int, assignments) -> int:
     if any(m > degree for _, m in assignments):
         return 0
     monos = _monomials(degree)
+    # falling[a][e] = e (e-1) ... (e-a+1), the factor d^a/dx^a puts on x^e
+    top = max((m for _, m in assignments), default=1)
+    falling = [[1] * (degree + 1)]
+    for a in range(1, top):
+        falling.append([f * (e - a + 1) for e, f in enumerate(falling[-1])])
     rows = []
     for idx, m in assignments:
         if m < 1:
             raise ValueError("multiplicities must be >= 1")
-        p = points[idx]
+        # the point with coprime integer coordinates
+        scale = lcm(*(c.denominator for c in points[idx]))
+        coords = [c.numerator * (scale // c.denominator) for c in points[idx]]
+        g = gcd(*coords) or 1
+        powers = [[(c // g) ** k for k in range(degree + 1)] for c in coords]
         for alpha in _monomials(m - 1):
-            rows.append([_derivative_value(exp, alpha, p) for exp in monos])
+            # fx[e]: d^alpha_0/dx^alpha_0 of x^e at the point, and so on
+            fx, fy, fz = [[f * pw[e - a] if e >= a else 0
+                           for e, f in enumerate(falling[a])]
+                          for a, pw in zip(alpha, powers)]
+            rows.append([fx[a] * fy[b] * fz[c] for a, b, c in monos])
     return len(monos) - rank_rational(rows)
 
 

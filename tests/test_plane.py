@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import perm
 
 import pytest
 
@@ -8,7 +9,8 @@ from bidouble.lattice import DivisorClass
 from bidouble.plane import (CatalogueGapError, FatPointSystem, class_to_system,
                             collinear, det3, effective_decompositions,
                             h0_class, h0_fat_points, interpolation_dimension,
-                            standard_quadrilateral, sum_of_decomposition)
+                            rank_rational, standard_quadrilateral,
+                            sum_of_decomposition)
 
 
 def _cross(a, b):
@@ -235,3 +237,132 @@ def test_interpolation_dimension_standalone():
            (Fraction(0), Fraction(0), Fraction(1))]
     assert interpolation_dimension(pts, 1, [(0, 1), (1, 1), (2, 1)]) == 0
     assert interpolation_dimension(pts, 2, [(0, 1), (1, 1), (2, 1)]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a Fraction reference
+
+
+def _fraction_rank(rows):
+    """Reference rank over Q: Fraction Gauss-Jordan elimination."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return 0
+    rank = 0
+    for col in range(len(mat[0])):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def _exponents(total):
+    return [(a, b, total - a - b)
+            for a in range(total + 1) for b in range(total - a + 1)]
+
+
+def _reference_dimension(points, degree, assignments):
+    """h^0 from Fraction derivative values at the points as given."""
+    if any(m > degree for _, m in assignments):
+        return 0
+    monos = _exponents(degree)
+    rows = []
+    for idx, m in assignments:
+        for alpha in _exponents(m - 1):
+            row = []
+            for exp in monos:
+                val = Fraction(1)
+                for e, a, c in zip(exp, alpha, points[idx]):
+                    val *= perm(e, a) * Fraction(c) ** (e - a) if a <= e else 0
+                row.append(val)
+            rows.append(row)
+    return len(monos) - _fraction_rank(rows)
+
+
+def test_rank_multiples_of_the_prime():
+    # every entry vanishes mod 2^61 - 1: a rank of 0 mod p is no answer
+    p = 2**61 - 1
+    assert rank_rational([[p, 0], [0, p]]) == 2
+    assert rank_rational([[p, 2 * p, 3 * p], [4 * p, 5 * p, 6 * p]]) == 2
+    assert rank_rational([[p, 2 * p], [3 * p, 6 * p]]) == 1
+    assert rank_rational([[0, 0], [0, 0]]) == 0
+    assert rank_rational([]) == 0
+
+
+def test_rank_matches_fraction_reference():
+    rng = random.Random(61)
+    p = 2**61 - 1
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.choice((0, 0, 1, -1, 2, p, -p, 3 * p + 1))
+                for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5 and nrows > 1:
+            # a dependent row
+            mat[-1] = [a * 3 - b * p for a, b in zip(mat[0], mat[1])]
+        copy = [list(r) for r in mat]
+        assert rank_rational(mat) == _fraction_rank(mat)
+        assert mat == copy
+
+
+def test_interpolation_matches_reference_random():
+    # criterion-8-style systems at random rational points, including the
+    # special (2; 2, 2) and (4; 2^5), whose rank is not full
+    rng = random.Random(808)
+    systems = [(2, [2, 2]), (4, [2] * 5)]
+    systems += [(rng.randint(0, 6), [rng.randint(1, 2)
+                                     for _ in range(rng.randint(0, 8))])
+                for _ in range(60)]
+    for d, mults in systems:
+        pts = [(Fraction(rng.randint(-15, 15), rng.randint(1, 8)),
+                Fraction(rng.randint(-15, 15), rng.randint(1, 8)),
+                Fraction(rng.randint(1, 3))) for _ in mults]
+        assignments = list(enumerate(mults))
+        assert interpolation_dimension(pts, d, assignments) == \
+            _reference_dimension(pts, d, assignments), (d, mults, pts)
+    rng_pts = [(Fraction(1, 2), Fraction(-3, 7), Fraction(1)),
+               (Fraction(2, 3), Fraction(5), Fraction(1))]
+    assert interpolation_dimension(rng_pts, 2, [(0, 2), (1, 2)]) == 1
+    five = [(Fraction(t), Fraction(t * t), Fraction(1)) for t in range(5)]
+    assert interpolation_dimension(five, 4, [(i, 2) for i in range(5)]) == 1
+
+
+def test_interpolation_rank_deficient_fallback():
+    # (d; m at P2, P4, P7): the triple points of the diagonal Delta2bar
+    # make the system special, so the mod-p rank cannot certify it
+    cfg = standard_quadrilateral(with_p7=True)
+    for d, m, want in ((10, 6, 19), (14, 8, 37)):
+        system = FatPointSystem(d, ((1, m), (3, m), (6, m)))
+        got = h0_fat_points(cfg, system)
+        assert got > system.expected_dimension
+        assert got == want == _reference_dimension(
+            cfg.points, d, system.assignments)
+
+
+def test_interpolation_general_point_scaling():
+    # (1/2 : 1/3 : 1) = (3 : 2 : 6) and (1 : 2/3 : 1) = (3 : 2 : 3) lie on
+    # 2x = 3y with (0 : 0 : 1); their numerators alone would not
+    third = (Fraction(1, 2), Fraction(1, 3), Fraction(1))
+    twothirds = (Fraction(1), Fraction(2, 3), Fraction(1))
+    pts = [third, twothirds, (Fraction(0), Fraction(0), Fraction(1))]
+    assert interpolation_dimension(pts, 1, [(0, 1), (1, 1), (2, 1)]) == 1
+    assert interpolation_dimension(pts, 2, [(0, 2), (1, 1), (2, 1)]) == 2
+    # the seeded general point has rational coordinates; scaling it to
+    # coprime integers must not change any dimension
+    for seed in (0, 7, 37):
+        cfg = standard_quadrilateral(with_general_point=True, seed=seed)
+        assert any(c.denominator > 1 for c in cfg.points[-1])
+        for d, assignments in ((4, ((6, 3),)), (5, ((6, 3), (0, 2))),
+                               (6, ((6, 4), (1, 3))), (3, ((6, 2), (2, 2))),
+                               (6, tuple((i, 2) for i in range(7)))):
+            assert h0_fat_points(cfg, FatPointSystem(d, assignments)) == \
+                _reference_dimension(cfg.points, d, assignments)

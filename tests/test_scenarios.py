@@ -182,6 +182,40 @@ def test_cli_h0(capsys):
     assert main(["h0", "--degree", "2", "--mults", "1,1,1,1,1,1,1,1"]) == 2
 
 
+def test_cli_h0_refuses_oversized_matrix(monkeypatch, capsys):
+    from bidouble import cli
+
+    def unreachable(*args):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(cli, "h0_fat_points", unreachable)
+    # the columns alone: about 5e9 monomials with no multiplicity at all
+    for argv in (["--degree", "100000", "--mults", ""],
+                 ["--degree", "100000", "--mults", "0,3"],
+                 ["--degree", "40", "--mults", "20,20,20,20,20,20,20",
+                  "--with-p7"]):
+        assert main(["h0", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "limit" in err
+    monkeypatch.setattr(cli, "h0_fat_points", lambda cfg, system: 7)
+    # degree d has at most MAX_CELLS columns, degree d + 1 more
+    d = 0
+    while (d + 2) * (d + 3) // 2 <= cli.MAX_CELLS:
+        d += 1
+    assert main(["h0", "--degree", str(d), "--mults", ""]) == 0
+    assert main(["h0", "--degree", str(d + 1), "--mults", ""]) == 2
+    # a double point adds 3 rows: 3 x cols cells
+    assert main(["h0", "--degree", str(d // 2), "--mults", "2"]) == 0
+    assert main(["h0", "--degree", str(d), "--mults", "2"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_h0_multiplicity_above_degree_needs_no_matrix(capsys):
+    # no matrix is built, so the size limit does not apply
+    assert main(["h0", "--degree", "400", "--mults", "401"]) == 0
+    assert capsys.readouterr().out == "h0(degree 400, mults [401]) = 0\n"
+
+
 def test_cli_code(capsys, tmp_path):
     assert main(["code", "--fixture", str(data_path("nodal_sides.json")),
                  "--format", "json"]) == 0
@@ -193,6 +227,24 @@ def test_cli_code(capsys, tmp_path):
                                "classes": [[1, 1, 1, 0, 0, 0, 0]]}))
     assert main(["code", "--fixture", str(bad)]) == 1
     assert main(["code", "--fixture", str(tmp_path / "none.json")]) == 2
+
+
+def test_cli_code_builds_the_code_once(monkeypatch, capsys):
+    from bidouble import cli, codes
+
+    build = codes.code_of_classes
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "code_of_classes", counting)
+    monkeypatch.setattr(cli, "code_of_classes", counting)
+    assert main(["code", "--fixture",
+                 str(data_path("nodal10_rank14.json"))]) == 0
+    assert len(calls) == 1
+    assert "isotropy bound: 14 <= 14 -> True" in capsys.readouterr().out
 
 
 def test_cli_code_past_enumeration_cap(monkeypatch, capsys):
