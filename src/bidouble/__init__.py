@@ -3,10 +3,10 @@ interpolation, binary codes of nodal curves and bidouble-cover invariants."""
 
 from .lattice import (BlowupLattice, DivisorClass, LatticeMismatchError,
                       arithmetic_genus, castelnuovo_bound, riemann_roch_chi)
-from .plane import (CatalogueGapError, CurveEntry, FatPointSystem,
-                    PointConfiguration, class_to_system,
-                    effective_decompositions, h0_class, h0_fat_points,
-                    interpolation_dimension, standard_quadrilateral)
+from .plane import (CurveEntry, FatPointSystem, PointConfiguration,
+                    class_to_system, effective_decompositions, h0_class,
+                    h0_fat_points, interpolation_dimension,
+                    standard_quadrilateral)
 from .codes import (BinaryCode, EnumerationCapError, NodalInputError,
                     code_of_classes, de_code, is_doubly_even, isotropy_bound,
                     isotropy_bound_holds, weights)

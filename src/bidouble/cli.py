@@ -4,7 +4,7 @@ Subcommands:
 
 * ``verify <scenario>|all`` -- run pinned verification scenarios;
 * ``custom <file>``         -- run the pipeline on a cover document;
-* ``h0 --degree d --mults "m1,m2,..."`` -- fat-point interpolation;
+* ``h0 --degree d --mults "m1,m2,..."`` -- dimension of a fat-point system;
 * ``code --fixture <file>`` -- code of a nodal-class fixture.
 
 Exit codes: 0 all checks pass, 1 a check or validation failed, 2 bad input.
@@ -23,12 +23,6 @@ from .lattice import BlowupLattice
 from .plane import FatPointSystem, h0_fat_points, standard_quadrilateral
 from .scenarios import (SCENARIO_NAMES, ScenarioAbort, load_document,
                         run_custom, run_scenario)
-
-# Largest fat-point matrix `h0` builds, in rows x columns (at least the
-# columns).  The slowest systems found at this size are rank-deficient ones
-# at the seeded general point, which take the exact integer fallback; see
-# the README for the measured worst case.
-MAX_CELLS = 50_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,13 +122,6 @@ def _cmd_h0(args) -> int:
         system = FatPointSystem(
             args.degree,
             tuple((i, m) for i, m in enumerate(mults) if m > 0))
-        cols = (args.degree + 1) * (args.degree + 2) // 2
-        cells = cols * max(system.conditions, 1)
-        # a multiplicity above the degree gives h0 = 0 with no matrix
-        if cells > MAX_CELLS and all(m <= args.degree for m in mults):
-            raise ValueError(
-                f"a {system.conditions} x {cols} interpolation matrix is over "
-                f"the limit of {MAX_CELLS} cells")
         value = h0_fat_points(cfg, system)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""The quadrilateral configuration in P^2 and exact fat-point interpolation.
+"""The quadrilateral configuration in P^2, its negative curves and exact h^0.
 
 Coordinates are fixed once and for all so that golden outputs are stable:
 P1=(1:0:0), P2=(0:1:0), P3=(0:0:1), P4=(1:1:1), then P5 = P1P2 ^ P3P4 =
@@ -7,18 +7,23 @@ of the diagonals P2P4 and P5P6.  An optional general point is drawn with
 small random rational coordinates (seeded) and redrawn until it misses
 every catalogued line.
 
-The module also catalogues the named negative curves living on the blowups
-(sides S1..S4, diagonals, exceptional classes, the three conic pencils) and
-provides:
+The module also catalogues the named curves living on the blowups (sides
+S1..S4, diagonals, exceptional classes, the three conic pencils).  The
+points are in almost general position -- distinct, no four on a line, not
+all seven on a conic -- so each blowup is a weak del Pezzo surface (degree 3
+or 2) and h^0 needs no matrix:
 
-* ``h0_fat_points`` -- dimension of the space of degree-d forms with
-  prescribed multiplicities, by exact rank of the interpolation matrix.
-  Points are scaled to coprime integer coordinates, so the matrix is
-  integral; its rank mod the prime 2^61 - 1 is a lower bound for the rank
-  over Q and is returned only when it is full, min(rows, cols).  Any other
-  matrix is ranked over Z by fraction-free Bareiss elimination;
-* ``h0_class`` -- h^0 of a divisor class, removing fixed parts against the
-  catalogue first;
+* ``PointConfiguration.negative_entries`` -- every (-1)- and (-2)-curve,
+  derived once per configuration on first use;
+* ``h0_class`` -- h^0 of a divisor class: negative curves meeting the class
+  negatively are split off as fixed parts, many copies at a time, and the
+  nef residue has h^0 = chi by Riemann-Roch and Kawamata-Viehweg;
+* ``h0_fat_points`` -- the dimension of the degree-d forms with prescribed
+  multiplicities at the configuration's points: ``h0_class`` of (d; m_i);
+* ``interpolation_dimension`` -- the same dimension at arbitrary rational
+  points, by exact rank of the integer interpolation matrix (rank mod
+  2^61 - 1 when full, fraction-free Bareiss otherwise); it decides which
+  six points lie on a conic and cross-checks ``h0_class`` in the tests;
 * ``effective_decompositions`` -- a brute-force oracle listing every way to
   write a class as a non-negative combination of catalogued classes.
 """
@@ -28,13 +33,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
 from .lattice import BlowupLattice, DivisorClass
 
 __all__ = [
-    "CatalogueGapError",
     "CurveEntry",
     "PointConfiguration",
     "FatPointSystem",
@@ -48,11 +53,6 @@ __all__ = [
 ]
 
 Point = tuple[Fraction, Fraction, Fraction]
-
-
-class CatalogueGapError(RuntimeError):
-    """Fixed-part removal ran out of budget; the curve catalogue is missing
-    a negative curve for the class being evaluated."""
 
 
 def _pt(x, y, z) -> Point:
@@ -78,9 +78,10 @@ def _on_line(line, p: Point) -> bool:
 class CurveEntry:
     """A catalogued curve (or pencil class) on a blowup of the plane.
 
-    ``kind`` is one of "exceptional", "line", "conic" (a rigid conic, the
-    pencil member through the general point) or "pencil".  ``line`` holds
-    the coefficients (a, b, c) of a*x+b*y+c*z for plane lines.
+    ``kind`` is one of "exceptional", "line", "conic" (a rigid conic, such
+    as the pencil member through the general point), "cubic" (a rigid
+    cubic) or "pencil".  ``line`` holds the coefficients (a, b, c) of
+    a*x+b*y+c*z for catalogued plane lines.
     """
 
     name: str
@@ -118,7 +119,9 @@ class PointConfiguration:
 
     ``collinear_triples`` records the 1-based incident triples; construction
     verifies each by an exact determinant and verifies that no other triple
-    of catalogued points is collinear.
+    of catalogued points is collinear.  It also verifies almost general
+    position: at most seven points, no four on a line, not seven on a
+    conic.
     """
 
     points: tuple[Point, ...]
@@ -132,6 +135,8 @@ class PointConfiguration:
     def __post_init__(self):
         if len(self.points) != self.lattice.n:
             raise ValueError("one blown-up point per exceptional class required")
+        if self.lattice.n > 7:
+            raise ValueError("the negative curves are derived for at most 7 points")
         for triple in self.collinear_triples:
             i, j, k = sorted(triple)
             if not collinear(self.points[i - 1], self.points[j - 1], self.points[k - 1]):
@@ -141,6 +146,17 @@ class PointConfiguration:
                 continue
             if collinear(self.points[i - 1], self.points[j - 1], self.points[k - 1]):
                 raise ValueError(f"unrecorded collinearity {{{i},{j},{k}}}")
+        # almost general position: two triples sharing two points put four
+        # points on one line (as do two coinciding points, once there are
+        # four); seven points on a conic through a collinear triple would
+        # put the other four on a line
+        for a, b in itertools.combinations(self.collinear_triples, 2):
+            if len(a & b) == 2:
+                raise ValueError(f"points {sorted(a | b)} lie on one line")
+        if len(self.points) == 7 and not self.collinear_triples and \
+                interpolation_dimension(self.points, 2,
+                                        [(i, 1) for i in range(7)]) > 0:
+            raise ValueError("the seven points lie on a conic")
 
     def point(self, i: int) -> Point:
         """1-based access, matching e_i."""
@@ -155,11 +171,56 @@ class PointConfiguration:
     def cls(self, name: str) -> DivisorClass:
         return self.entry(name).cls
 
-    @property
+    @cached_property
     def negative_entries(self) -> tuple[CurveEntry, ...]:
-        """Catalogued rigid curves of negative self-intersection."""
-        return tuple(e for e in self.entries
-                     if e.kind != "pencil" and e.self_intersection < 0)
+        """Every irreducible curve of negative self-intersection.
+
+        The points are in almost general position (checked on
+        construction), so the blowup is a weak del Pezzo surface of degree
+        9 - n and its negative curves are known (Harbourne, "Anticanonical
+        rational surfaces", 1997):
+
+        * the (-2)-curves are the line through each collinear triple and the
+          conic through any six points, no three collinear, that lie on one;
+          e_i - e_j is never effective, the points being distinct;
+        * the (-1)-curves are the (-1)-classes e_i, l-e_i-e_j, 2l-(five e)
+          and, for n = 7, 3l-2e_i-(the other six e) that meet every
+          (-2)-curve non-negatively.
+
+        Catalogued curves keep their entries; the others are named by their
+        class.  Derived on first use and cached on the instance.
+        """
+        n = self.lattice.n
+        by_class = {e.cls: e for e in self.entries if e.kind != "pencil"}
+
+        def plane_class(degree, points, double=None):
+            return DivisorClass(degree, tuple(
+                2 if i == double else int(i in points) for i in range(1, n + 1)))
+
+        def on_a_conic(six):
+            if any(t <= six for t in self.collinear_triples):
+                return False
+            return interpolation_dimension(
+                self.points, 2, [(i - 1, 1) for i in sorted(six)]) > 0
+
+        everything = range(1, n + 1)
+        minus_two = [plane_class(1, t)
+                     for t in sorted(self.collinear_triples, key=sorted)]
+        minus_two += [plane_class(2, six)
+                      for six in map(frozenset, itertools.combinations(everything, 6))
+                      if on_a_conic(six)]
+        minus_one = [self.lattice.exceptional(i) for i in everything]
+        minus_one += [plane_class(1, pair)
+                      for pair in itertools.combinations(everything, 2)]
+        minus_one += [plane_class(2, five)
+                      for five in itertools.combinations(everything, 5)]
+        if n == 7:
+            minus_one += [plane_class(3, everything, double=i) for i in everything]
+        minus_one = [c for c in minus_one if all(c.dot(r) >= 0 for r in minus_two)]
+
+        kinds = {0: "exceptional", 1: "line", 2: "conic", 3: "cubic"}
+        return tuple(by_class.get(c) or CurveEntry(str(c), c, kinds[c.degree])
+                     for c in minus_two + minus_one)
 
 
 def _draw_general_point(rng: random.Random, lines) -> Point:
@@ -222,7 +283,7 @@ def standard_quadrilateral(with_p7: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# exact interpolation
+# exact interpolation and h^0
 
 
 def _monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -232,6 +293,9 @@ def _monomials(degree: int) -> list[tuple[int, int, int]]:
 
 
 _PRIME = 2**61 - 1
+
+# steps of fixed-part splitting between two conic-bundle tests in h0_class
+_SCREEN = 64
 
 
 def rank_rational(rows) -> int:
@@ -350,11 +414,14 @@ class FatPointSystem:
 
 
 def h0_fat_points(cfg: PointConfiguration, system: FatPointSystem) -> int:
-    """Exact dimension of the system over the configuration's points."""
-    for idx, _ in system.assignments:
+    """Exact dimension of the system over the configuration's points: h^0
+    of the class (d; m_1, ..., m_n) on the blowup."""
+    mults = [0] * len(cfg.points)
+    for idx, m in system.assignments:
         if not 0 <= idx < len(cfg.points):
             raise ValueError(f"point index {idx} out of range")
-    return interpolation_dimension(cfg.points, system.degree, system.assignments)
+        mults[idx] = m
+    return h0_class(cfg, DivisorClass(system.degree, tuple(mults)))
 
 
 def class_to_system(cfg: PointConfiguration, d: DivisorClass) -> FatPointSystem:
@@ -368,33 +435,63 @@ def class_to_system(cfg: PointConfiguration, d: DivisorClass) -> FatPointSystem:
                           tuple((i, m) for i, m in enumerate(d.mults) if m >= 1))
 
 
-def h0_class(cfg: PointConfiguration, d: DivisorClass,
-             max_steps: int | None = None) -> int:
-    """h^0 of a divisor class on the blowup.
+def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
+    """h^0 of a divisor class on the blowup, by lattice arithmetic alone.
 
-    While some catalogued curve G with G^2 < 0 meets the class negatively,
-    G is split off as a fixed part; the residue is then evaluated by exact
-    interpolation.  Returns 0 as soon as the degree drops below zero.  The
-    iteration is budgeted; exhausting the budget signals a catalogue gap.
+    While some negative curve C meets the class negatively, C is a fixed
+    component; k = ceil(-D.C / -C^2) copies of it are split off at once,
+    enough for the residue to meet C non-negatively.  A class of negative
+    degree, or meeting -K negatively, has no sections, l and -K being nef.
+    The residue that meets every negative curve non-negatively is nef, so
+    h^0 = chi = 1 + (D^2 - K.D)/2 by Kawamata-Viehweg, -K being nef and big.
+
+    A class with no sections can meet a conic bundle F negatively while
+    meeting l and -K non-negatively; the splitting then walks down the
+    reducible fibres of F, a little at a time.  So every ``_SCREEN`` = 64
+    steps the residue is also tested against the nef classes with F^2 = 0
+    and -K.F = 2, which ends that walk at once.
     """
     if d.n != cfg.lattice.n:
         raise ValueError("class does not live on the configuration's lattice")
-    budget = max_steps if max_steps is not None else (
-        3 * max(d.degree, 0) + sum(abs(m) for m in d.mults) + 12)
-    cur = d
-    steps = 0
-    while True:
-        if cur.degree < 0:
+    curves = [(e.cls.degree, e.cls.mults, -e.self_intersection)
+              for e in cfg.negative_entries]
+
+    def nef_pencils():
+        # the classes with F^2 = 0 and -K.F = 2 on at most seven points, as
+        # (degree, number of double points, number of simple points)
+        n, out = d.n, []
+        for f_deg, doubles, singles in ((1, 0, 1), (2, 0, 4), (3, 1, 5),
+                                        (4, 3, 4), (5, 6, 1)):
+            for two in itertools.combinations(range(n), doubles):
+                rest = [i for i in range(n) if i not in two]
+                for one in itertools.combinations(rest, singles):
+                    f = tuple(2 if i in two else int(i in one) for i in range(n))
+                    if all(f_deg * c_deg >= sum(a * b for a, b in zip(f, c_mults))
+                           for c_deg, c_mults, _ in curves):
+                        out.append((f_deg, f))
+        return out
+
+    deg, mults = d.degree, d.mults
+    pencils = None
+    for step in itertools.count(1):
+        if deg < 0 or 3 * deg < sum(mults):
             return 0
-        fixed = next((e for e in cfg.negative_entries if e.cls.dot(cur) < 0), None)
-        if fixed is None:
-            break
-        cur = cur - fixed.cls
-        steps += 1
-        if steps > budget:
-            raise CatalogueGapError(
-                f"fixed-part removal did not terminate for {d} within {budget} steps")
-    return h0_fat_points(cfg, class_to_system(cfg, cur))
+        if step % _SCREEN == 0:
+            if pencils is None:
+                pencils = nef_pencils()
+            if any(deg * f_deg < sum(a * b for a, b in zip(mults, f_mults))
+                   for f_deg, f_mults in pencils):
+                return 0
+        for c_deg, c_mults, c_neg in curves:
+            meet = deg * c_deg - sum(a * b for a, b in zip(mults, c_mults))
+            if meet < 0:
+                k = -(meet // c_neg)
+                deg -= k * c_deg
+                mults = tuple(a - k * b for a, b in zip(mults, c_mults))
+                break
+        else:
+            return 1 + (deg * deg - sum(m * m for m in mults)
+                        + 3 * deg - sum(mults)) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ from math import perm
 
 import pytest
 
-from bidouble.lattice import DivisorClass
-from bidouble.plane import (CatalogueGapError, FatPointSystem, class_to_system,
-                            collinear, det3, effective_decompositions,
-                            h0_class, h0_fat_points, interpolation_dimension,
-                            rank_rational, standard_quadrilateral,
-                            sum_of_decomposition)
+from bidouble.lattice import BlowupLattice, DivisorClass
+from bidouble.plane import (FatPointSystem, PointConfiguration,
+                            class_to_system, collinear, det3,
+                            effective_decompositions, h0_class, h0_fat_points,
+                            interpolation_dimension, rank_rational,
+                            standard_quadrilateral, sum_of_decomposition)
 
 
 def _cross(a, b):
@@ -188,10 +188,90 @@ def test_h0_class_negative_multiplicity_cleanup():
     assert h0_class(cfg, d) == 0
 
 
-def test_h0_class_budget_guard():
+def test_h0_class_nine_four_six():
+    # (9; 4^6) = l + 2(S1 + S2 + S3 + S4), each point lying on two sides:
+    # every side in turn meets the residue as -3 and is fixed ceil(3/2) = 2
+    # times, and the residue l has 3 sections
     cfg = standard_quadrilateral()
-    with pytest.raises(CatalogueGapError):
-        h0_class(cfg, DivisorClass(9, (4, 4, 4, 4, 4, 4)), max_steps=1)
+    assert h0_class(cfg, DivisorClass(9, (4, 4, 4, 4, 4, 4))) == 3
+
+
+def _configurations():
+    yield "six", standard_quadrilateral()
+    yield "P7", standard_quadrilateral(with_p7=True)
+    for seed in (0, 5, 11, 37):
+        yield f"general{seed}", standard_quadrilateral(with_general_point=True,
+                                                       seed=seed)
+
+
+def test_negative_curve_counts():
+    # (-2)- and (-1)-curves.  P6: the four sides; e1..e6 and the three
+    # diagonals.  P7: the six lines through three points; e1..e7, Delta1,
+    # l-e1-e7 and l-e3-e7.  A general point: the four sides; e1..e7, nine
+    # lines through two points, three conics and one cubic
+    want = {"six": (4, 9), "P7": (6, 10)}
+    for name, cfg in _configurations():
+        entries = cfg.negative_entries
+        counts = tuple(sum(e.self_intersection == s for e in entries)
+                       for s in (-2, -1))
+        assert counts == want.get(name, (4, 20)), name
+        assert len(entries) == sum(counts)
+        k = cfg.lattice.canonical
+        assert all(e.cls.dot(k) == -2 - e.self_intersection for e in entries)
+        # every catalogued negative curve is derived, under its own name
+        derived = set(entries)
+        assert all(e in derived for e in cfg.entries
+                   if e.kind != "pencil" and e.self_intersection < 0)
+        assert cfg.negative_entries is entries
+
+
+def test_almost_general_position_enforced():
+    lat = BlowupLattice(5)
+    four_on_a_line = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1))
+    points = tuple(tuple(map(Fraction, p)) for p in four_on_a_line)
+    triples = frozenset(map(frozenset, itertools.combinations(range(1, 5), 3)))
+    with pytest.raises(ValueError, match="one line"):
+        PointConfiguration(points, triples, lat, ())
+    # seven points of the conic y z = x^2, no three collinear
+    conic = tuple((Fraction(t), Fraction(t * t), Fraction(1)) for t in range(7))
+    with pytest.raises(ValueError, match="conic"):
+        PointConfiguration(conic, frozenset(), BlowupLattice(7), ())
+    # six of them are fine, and the conic through them is a (-2)-curve
+    six = PointConfiguration(conic[:6], frozenset(), BlowupLattice(6), ())
+    assert [str(e.cls) for e in six.negative_entries
+            if e.self_intersection == -2] == ["2l-e1-e2-e3-e4-e5-e6"]
+
+
+def test_h0_class_matches_interpolation():
+    # h0 of (d; m) is the fat-point dimension with the negative
+    # multiplicities clamped to 0, the e_i being fixed there
+    rng = random.Random(12)
+    positive = 0
+    for name, cfg in _configurations():
+        for _ in range(40):
+            d = rng.randint(0, 12)
+            top = rng.choice((d, rng.randint(0, d)))
+            mults = tuple(rng.randint(-2, top) for _ in range(cfg.lattice.n))
+            want = interpolation_dimension(
+                cfg.points, d, [(i, m) for i, m in enumerate(mults) if m > 0])
+            assert h0_class(cfg, DivisorClass(d, mults)) == want, (name, d, mults)
+            positive += want > 0
+    assert positive >= 60
+
+
+def test_h0_class_recognises_empty_systems_early():
+    # (10^6; 500001^4): 2d < m1 + m2 + m3 + m4 on the nef conic class f3,
+    # so there are no sections; splitting off fixed curves alone would take
+    # about 1.5 * 10^6 steps to drive the degree negative
+    cfg = standard_quadrilateral()
+    a = 500001
+    assert h0_class(cfg, DivisorClass(10**6, (a, a, a, a, 0, 0))) == 0
+    assert h0_class(cfg, DivisorClass(10**12, (10**12 // 2 + 1,) * 4 + (0, 0))) == 0
+    # (10^6; 500000^3, 499999) is nef: it meets S1, S2 and Delta1 as 0 and
+    # every other negative curve positively; D^2 = 999999, -K.D = 1000001
+    # and h0 = chi = 1 + (999999 + 1000001) / 2
+    assert h0_class(cfg, DivisorClass(10**6, (a - 1,) * 3 + (a - 2, 0, 0))) \
+        == 1000001
 
 
 def test_effective_decompositions_f1():
@@ -342,10 +422,10 @@ def test_interpolation_rank_deficient_fallback():
     cfg = standard_quadrilateral(with_p7=True)
     for d, m, want in ((10, 6, 19), (14, 8, 37)):
         system = FatPointSystem(d, ((1, m), (3, m), (6, m)))
-        got = h0_fat_points(cfg, system)
+        got = interpolation_dimension(cfg.points, d, system.assignments)
         assert got > system.expected_dimension
-        assert got == want == _reference_dimension(
-            cfg.points, d, system.assignments)
+        assert got == want == h0_fat_points(cfg, system) == \
+            _reference_dimension(cfg.points, d, system.assignments)
 
 
 def test_interpolation_general_point_scaling():
@@ -364,5 +444,6 @@ def test_interpolation_general_point_scaling():
         for d, assignments in ((4, ((6, 3),)), (5, ((6, 3), (0, 2))),
                                (6, ((6, 4), (1, 3))), (3, ((6, 2), (2, 2))),
                                (6, tuple((i, 2) for i in range(7)))):
-            assert h0_fat_points(cfg, FatPointSystem(d, assignments)) == \
+            assert interpolation_dimension(cfg.points, d, assignments) == \
+                h0_fat_points(cfg, FatPointSystem(d, assignments)) == \
                 _reference_dimension(cfg.points, d, assignments)

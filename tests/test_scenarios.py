@@ -182,38 +182,66 @@ def test_cli_h0(capsys):
     assert main(["h0", "--degree", "2", "--mults", "1,1,1,1,1,1,1,1"]) == 2
 
 
-def test_cli_h0_refuses_oversized_matrix(monkeypatch, capsys):
-    from bidouble import cli
-
-    def unreachable(*args):
-        raise AssertionError("the matrix was built")
-
-    monkeypatch.setattr(cli, "h0_fat_points", unreachable)
-    # the columns alone: about 5e9 monomials with no multiplicity at all
-    for argv in (["--degree", "100000", "--mults", ""],
-                 ["--degree", "100000", "--mults", "0,3"],
-                 ["--degree", "40", "--mults", "20,20,20,20,20,20,20",
-                  "--with-p7"]):
-        assert main(["h0", *argv]) == 2
+def test_cli_h0_beyond_any_matrix(capsys):
+    # exact answers at degrees whose interpolation matrix no machine holds
+    cases = (
+        # no condition: the forms of degree 10^6, C(10^6 + 2, 2)
+        (["--degree", "1000000", "--mults", ""], 500001500001),
+        # 10^6 (3; 1^6) = -10^6 K is nef, so h0 = chi = 1 + (D^2 - K.D)/2
+        # = 1 + (3 * 10^12 + 3 * 10^6) / 2
+        (["--degree", "3000000", "--mults", ",".join(["1000000"] * 6)],
+         1500001500001),
+        # 10^6 (l - e1 - e2) = 10^6 (S1 + e5): S1 is fixed 10^6 times, then
+        # e5 is fixed 10^6 times, and the residue 0 has one section
+        (["--degree", "1000000", "--mults", "1000000,1000000"], 1),
+    )
+    for argv, want in cases:
+        assert main(["h0", *argv]) == 0
         out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1 and "limit" in err
-    monkeypatch.setattr(cli, "h0_fat_points", lambda cfg, system: 7)
-    # degree d has at most MAX_CELLS columns, degree d + 1 more
-    d = 0
-    while (d + 2) * (d + 3) // 2 <= cli.MAX_CELLS:
-        d += 1
-    assert main(["h0", "--degree", str(d), "--mults", ""]) == 0
-    assert main(["h0", "--degree", str(d + 1), "--mults", ""]) == 2
-    # a double point adds 3 rows: 3 x cols cells
-    assert main(["h0", "--degree", str(d // 2), "--mults", "2"]) == 0
-    assert main(["h0", "--degree", str(d), "--mults", "2"]) == 2
-    capsys.readouterr()
+        assert err == "" and out.endswith(f") = {want}\n")
 
 
 def test_cli_h0_multiplicity_above_degree_needs_no_matrix(capsys):
-    # no matrix is built, so the size limit does not apply
+    # a plane curve of degree 400 has no point of multiplicity 401
     assert main(["h0", "--degree", "400", "--mults", "401"]) == 0
     assert capsys.readouterr().out == "h0(degree 400, mults [401]) = 0\n"
+
+
+def test_no_matrix_on_the_h0_path(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from bidouble import plane
+    from bidouble.lattice import BlowupLattice, DivisorClass
+
+    cfgs = [plane.standard_quadrilateral(),
+            plane.standard_quadrilateral(with_p7=True),
+            plane.standard_quadrilateral(with_general_point=True, seed=37)]
+    for cfg in cfgs:
+        cfg.negative_entries
+    calls = []
+    real = plane.interpolation_dimension
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(plane, "interpolation_dimension", counting)
+    for cfg in cfgs:
+        n = cfg.lattice.n
+        assert plane.h0_class(cfg, DivisorClass(14, (8, 0, 0, 8, 0, 0, 8)[:n])) > 0
+        assert plane.h0_fat_points(
+            cfg, plane.FatPointSystem(12, tuple((i, 4) for i in range(n)))) > 0
+    assert main(["h0", "--degree", "20", "--mults", "11,0,0,11,0,0,11",
+                 "--general-point", "--seed", "37"]) == 0
+    assert main(["verify", "all", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the counter does see the conic test of six points with no three
+    # collinear, the one place the curve derivation needs a matrix
+    conic = tuple((Fraction(t), Fraction(t * t), Fraction(1)) for t in range(6))
+    plane.PointConfiguration(conic, frozenset(), BlowupLattice(6),
+                             ()).negative_entries
+    assert len(calls) == 1
 
 
 def test_cli_code(capsys, tmp_path):
