@@ -7,6 +7,8 @@ the pencil member through the new point picks up the exceptional curve
 with multiplicity 1, so its pullback is no longer divisible by 2.
 """
 
+from fractions import Fraction
+
 from bidouble import (bidouble_invariants, count_double_fibres,
                       fibre_multiplicity, resolve_111,
                       standard_quadrilateral, validate)
@@ -21,7 +23,8 @@ print(f"  K^2_minimal = {before.K2_minimal}, p_g = {before.pg}, "
 print()
 
 cfg = standard_quadrilateral(with_general_point=True, seed=0)
-print("general point drawn:", tuple(map(str, cfg.points[-1])))
+x, y, z = cfg.points[-1]
+print("general point drawn:", tuple(str(Fraction(c, z)) for c in (x, y, z)))
 out = resolve_111(bd, cfg)
 validate(out)
 after = bidouble_invariants(out, cfg)

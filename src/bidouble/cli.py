@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import index
 
 from .codes import (EnumerationCapError, code_of_classes, is_doubly_even,
                     isotropy_bound, weights)
@@ -136,7 +137,7 @@ def _cmd_h0(args) -> int:
 def _cmd_code(args) -> int:
     try:
         doc = load_document(args.fixture)
-        lat = BlowupLattice(int(doc["lattice_n"]))
+        lat = BlowupLattice(index(doc["lattice_n"]))
         classes = [lat.from_vector(v) for v in doc["classes"]]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: bad fixture: {exc}", file=sys.stderr)

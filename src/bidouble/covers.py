@@ -32,6 +32,7 @@ the number of double fibres.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .lattice import DivisorClass, BlowupLattice
 from .plane import (PointConfiguration, _decompositions_with_flag, h0_class,
@@ -128,15 +129,21 @@ class BidoubleData:
     def components_of(self, i: int) -> tuple[BranchComponent, ...]:
         return tuple(c for c in self.components if c.branch == i)
 
-    def branch_class(self, i: int) -> DivisorClass:
-        total = self.lattice.zero
-        for c in self.components_of(i):
-            total = total + c.cls
-        return total
+    @cached_property
+    def _branch_classes(self) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
+        """(D_1, D_2, D_3), summed once."""
+        totals = [self.lattice.zero] * 3
+        for c in self.components:
+            totals[c.branch - 1] += c.cls
+        return tuple(totals)
 
-    @property
+    def branch_class(self, i: int) -> DivisorClass:
+        return self._branch_classes[i - 1]
+
+    @cached_property
     def branch_total(self) -> DivisorClass:
-        return self.branch_class(1) + self.branch_class(2) + self.branch_class(3)
+        d1, d2, d3 = self._branch_classes
+        return d1 + d2 + d3
 
     def component(self, name: str) -> BranchComponent:
         for c in self.components:
@@ -180,8 +187,7 @@ class BranchPreimage:
 def branch_preimage(bd: BidoubleData, name: str) -> BranchPreimage:
     """Preimage of a smooth rational branch component in the cover."""
     comp = bd.component(name)
-    others = [i for i in (1, 2, 3) if i != comp.branch]
-    b = comp.cls.dot(bd.branch_class(others[0]) + bd.branch_class(others[1]))
+    b = comp.cls.dot(bd.branch_total - bd.branch_class(comp.branch))
     sq = comp.cls.dot(comp.cls)
     if b % 2 != 0:
         raise ValueError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add, index, mul, neg, sub
 
 __all__ = [
     "LatticeMismatchError",
@@ -44,8 +45,18 @@ class DivisorClass:
     mults: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", int(self.degree))
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        # operator.index accepts exactly the integral types: 1.9 or
+        # Fraction(1, 2) raise TypeError instead of being truncated
+        object.__setattr__(self, "degree", index(self.degree))
+        object.__setattr__(self, "mults", tuple(map(index, self.mults)))
+
+    @classmethod
+    def _of(cls, degree: int, mults: tuple[int, ...]) -> "DivisorClass":
+        """Build a class from entries that are already ints, unvalidated."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "mults", mults)
+        return out
 
     @property
     def n(self) -> int:
@@ -62,27 +73,27 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_rank(other)
-        return DivisorClass(self.degree + other.degree,
-                            tuple(a + b for a, b in zip(self.mults, other.mults)))
+        return DivisorClass._of(self.degree + other.degree,
+                                tuple(map(add, self.mults, other.mults)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_rank(other)
-        return DivisorClass(self.degree - other.degree,
-                            tuple(a - b for a, b in zip(self.mults, other.mults)))
+        return DivisorClass._of(self.degree - other.degree,
+                                tuple(map(sub, self.mults, other.mults)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.degree, tuple(-m for m in self.mults))
+        return DivisorClass._of(-self.degree, tuple(map(neg, self.mults)))
 
     def __mul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(k * self.degree, tuple(k * m for m in self.mults))
+        k = index(k)
+        return DivisorClass._of(k * self.degree, tuple(k * m for m in self.mults))
 
     __rmul__ = __mul__
 
     def dot(self, other: "DivisorClass") -> int:
         """Intersection product d*d' - sum m_i*m_i'."""
         self._same_rank(other)
-        return self.degree * other.degree - sum(
-            a * b for a, b in zip(self.mults, other.mults))
+        return self.degree * other.degree - sum(map(mul, self.mults, other.mults))
 
     def mod2(self) -> tuple[int, ...]:
         """Coefficient vector of the class in Pic/2Pic, length 1+n."""
@@ -90,17 +101,17 @@ class DivisorClass:
 
     def lift(self, extra: int = 1) -> "DivisorClass":
         """Total-transform class on a lattice with ``extra`` more points."""
-        return DivisorClass(self.degree, self.mults + (0,) * extra)
+        return DivisorClass._of(self.degree, self.mults + (0,) * extra)
 
     def to_vector(self) -> list[int]:
         return [self.degree, *self.mults]
 
     @classmethod
     def from_vector(cls, vec) -> "DivisorClass":
-        vec = [int(v) for v in vec]
+        vec = tuple(map(index, vec))
         if not vec:
             raise ValueError("empty class vector")
-        return cls(vec[0], tuple(vec[1:]))
+        return cls._of(vec[0], vec[1:])
 
     def __str__(self) -> str:
         terms = []

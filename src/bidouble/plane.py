@@ -4,8 +4,9 @@ Coordinates are fixed once and for all so that golden outputs are stable:
 P1=(1:0:0), P2=(0:1:0), P3=(0:0:1), P4=(1:1:1), then P5 = P1P2 ^ P3P4 =
 (1:1:0), P6 = P1P4 ^ P2P3 = (0:1:1), and P7 = (1:2:1) is the intersection
 of the diagonals P2P4 and P5P6.  An optional general point is drawn with
-small random rational coordinates (seeded) and redrawn until it misses
-every catalogued line.
+small random rational affine coordinates (seeded), redrawn until it misses
+every catalogued line.  Every point is stored as a coprime integer triple,
+so incidences are decided in integer arithmetic.
 
 The module also catalogues the named curves living on the blowups (sides
 S1..S4, diagonals, exceptional classes, the three conic pencils).  The
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .lattice import BlowupLattice, DivisorClass
 
@@ -52,14 +54,18 @@ __all__ = [
     "effective_decompositions",
 ]
 
-Point = tuple[Fraction, Fraction, Fraction]
+Point = tuple[int, int, int]
 
 
-def _pt(x, y, z) -> Point:
-    return (Fraction(x), Fraction(y), Fraction(z))
+def _integral(p) -> Point:
+    """The point ``p`` (rational homogeneous coordinates) as coprime integers."""
+    scale = lcm(*(c.denominator for c in p))
+    coords = [c.numerator * (scale // c.denominator) for c in p]
+    g = gcd(*coords) or 1
+    return tuple(c // g for c in coords)
 
 
-def det3(p: Point, q: Point, r: Point) -> Fraction:
+def det3(p: Point, q: Point, r: Point) -> int:
     return (p[0] * (q[1] * r[2] - q[2] * r[1])
             - p[1] * (q[0] * r[2] - q[2] * r[0])
             + p[2] * (q[0] * r[1] - q[1] * r[0]))
@@ -115,7 +121,8 @@ _PENCIL_BASE = {
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """Rational coordinates for the blown-up points plus the curve catalogue.
+    """Coprime integer coordinates for the blown-up points plus the curve
+    catalogue.
 
     ``collinear_triples`` records the 1-based incident triples; construction
     verifies each by an exact determinant and verifies that no other triple
@@ -222,11 +229,17 @@ class PointConfiguration:
         return tuple(by_class.get(c) or CurveEntry(str(c), c, kinds[c.degree])
                      for c in minus_two + minus_one)
 
+    @cached_property
+    def _negative_curves(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """(degree, mults, -C^2) of each entry of ``negative_entries``."""
+        return tuple((e.cls.degree, e.cls.mults, -e.self_intersection)
+                     for e in self.negative_entries)
+
 
 def _draw_general_point(rng: random.Random, lines) -> Point:
     while True:
-        p = _pt(Fraction(rng.randint(-12, 12), rng.randint(1, 9)),
-                Fraction(rng.randint(-12, 12), rng.randint(1, 9)), 1)
+        p = _integral((Fraction(rng.randint(-12, 12), rng.randint(1, 9)),
+                       Fraction(rng.randint(-12, 12), rng.randint(1, 9)), 1))
         if not any(_on_line(line, p) for line in lines):
             return p
 
@@ -245,11 +258,10 @@ def standard_quadrilateral(with_p7: bool = False,
     if with_p7 and with_general_point:
         raise ValueError("choose at most one extra point")
 
-    points = [_pt(1, 0, 0), _pt(0, 1, 0), _pt(0, 0, 1),
-              _pt(1, 1, 1), _pt(1, 1, 0), _pt(0, 1, 1)]
+    points = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 0), (0, 1, 1)]
     triples = {frozenset(t) for t in ((1, 2, 5), (3, 4, 5), (2, 3, 6), (1, 4, 6))}
     if with_p7:
-        points.append(_pt(1, 2, 1))
+        points.append((1, 2, 1))
         triples |= {frozenset((5, 6, 7)), frozenset((2, 4, 7))}
     if with_general_point:
         rng = random.Random(seed)
@@ -373,11 +385,8 @@ def interpolation_dimension(points, degree: int, assignments) -> int:
     for idx, m in assignments:
         if m < 1:
             raise ValueError("multiplicities must be >= 1")
-        # the point with coprime integer coordinates
-        scale = lcm(*(c.denominator for c in points[idx]))
-        coords = [c.numerator * (scale // c.denominator) for c in points[idx]]
-        g = gcd(*coords) or 1
-        powers = [[(c // g) ** k for k in range(degree + 1)] for c in coords]
+        powers = [[c ** k for k in range(degree + 1)]
+                  for c in _integral(points[idx])]
         for alpha in _monomials(m - 1):
             # fx[e]: d^alpha_0/dx^alpha_0 of x^e at the point, and so on
             fx, fy, fz = [[f * pw[e - a] if e >= a else 0
@@ -453,8 +462,7 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
     """
     if d.n != cfg.lattice.n:
         raise ValueError("class does not live on the configuration's lattice")
-    curves = [(e.cls.degree, e.cls.mults, -e.self_intersection)
-              for e in cfg.negative_entries]
+    curves = cfg._negative_curves
 
     def nef_pencils():
         # the classes with F^2 = 0 and -K.F = 2 on at most seven points, as
@@ -466,7 +474,7 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
                 rest = [i for i in range(n) if i not in two]
                 for one in itertools.combinations(rest, singles):
                     f = tuple(2 if i in two else int(i in one) for i in range(n))
-                    if all(f_deg * c_deg >= sum(a * b for a, b in zip(f, c_mults))
+                    if all(f_deg * c_deg >= sum(map(mul, f, c_mults))
                            for c_deg, c_mults, _ in curves):
                         out.append((f_deg, f))
         return out
@@ -479,11 +487,11 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
         if step % _SCREEN == 0:
             if pencils is None:
                 pencils = nef_pencils()
-            if any(deg * f_deg < sum(a * b for a, b in zip(mults, f_mults))
+            if any(deg * f_deg < sum(map(mul, mults, f_mults))
                    for f_deg, f_mults in pencils):
                 return 0
         for c_deg, c_mults, c_neg in curves:
-            meet = deg * c_deg - sum(a * b for a, b in zip(mults, c_mults))
+            meet = deg * c_deg - sum(map(mul, mults, c_mults))
             if meet < 0:
                 k = -(meet // c_neg)
                 deg -= k * c_deg

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import index
 from pathlib import Path
 
 from . import codes, covers, examples
@@ -58,7 +60,7 @@ class Check:
     expected: object
     computed: object
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         return _jsonify(self.expected) == _jsonify(self.computed)
 
@@ -109,8 +111,8 @@ class ScenarioReport:
                 line += (f"\n         expected {_jsonify(c.expected)}"
                          f" != computed {_jsonify(c.computed)}")
             lines.append(line)
-        d = self.to_dict()["summary"]
-        lines.append(f"summary: {d['passed']}/{d['total']} checks passed")
+        good = sum(1 for c in self.checks if c.passed)
+        lines.append(f"summary: {good}/{len(self.checks)} checks passed")
         return "\n".join(lines)
 
 
@@ -400,7 +402,7 @@ def load_document(path) -> dict:
 
 def _config_for(doc: dict):
     kind = doc.get("configuration")
-    n = int(doc["lattice_n"])
+    n = index(doc["lattice_n"])
     if kind is None:
         kind = {6: "quadrilateral", 7: "quadrilateral-p7"}.get(n)
         if kind is None:
@@ -426,15 +428,15 @@ def cover_from_document(doc: dict, cfg) -> covers.BidoubleData:
     components named name, name#2, ...
     """
     lat = cfg.lattice
-    if lat.n != int(doc["lattice_n"]):
+    if lat.n != index(doc["lattice_n"]):
         raise ValueError("configuration does not match lattice_n")
     comps = []
     for raw in doc["components"]:
-        branch = int(raw["branch"])
+        branch = index(raw["branch"])
         if branch == 0:
             continue
         cls = lat.from_vector(raw["class"])
-        mult = int(raw.get("multiplicity", 1))
+        mult = index(raw.get("multiplicity", 1))
         if mult < 1:
             raise ValueError(f"component {raw['name']}: multiplicity must be >= 1")
         for copy in range(mult):

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bidouble.lattice import (BlowupLattice, DivisorClass,
                               LatticeMismatchError, arithmetic_genus,
@@ -173,3 +175,58 @@ def test_pretty_printing():
     assert str(DivisorClass(5, (1, 2, 1, 3, 2, 2))) == "5l-e1-2e2-e3-3e4-2e5-2e6"
     assert str(LAT6.zero) == "0"
     assert str(LAT6.exceptional(3)) == "e3"
+
+
+def _entries(n):
+    return st.lists(st.integers(-10**12, 10**12), min_size=n + 1, max_size=n + 1)
+
+
+@settings(database=None, deadline=None)
+@given(st.data())
+def test_class_arithmetic_matches_public_constructor(data):
+    # the operators build their results without re-validating; each must
+    # equal, and hash like, the class the public constructor makes
+    n = data.draw(st.integers(0, 8))
+    a, b, c = (data.draw(_entries(n)) for _ in range(3))
+    k = data.draw(st.integers(-10**6, 10**6))
+    A, B, C = (DivisorClass.from_vector(v) for v in (a, b, c))
+    for got, want in ((A + B, [x + y for x, y in zip(a, b)]),
+                      (A - B, [x - y for x, y in zip(a, b)]),
+                      (-A, [-x for x in a]),
+                      (k * A, [k * x for x in a]),
+                      (A * k, [k * x for x in a]),
+                      (A.lift(2), a + [0, 0])):
+        public = DivisorClass(want[0], tuple(want[1:]))
+        assert got == public and hash(got) == hash(public)
+        assert all(type(x) is int for x in got.to_vector())
+    assert A.dot(B) == B.dot(A)
+    assert (A + B).dot(C) == A.dot(C) + B.dot(C)
+    assert (k * A).dot(B) == k * A.dot(B)
+    assert A.dot(B) == a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+    other = DivisorClass(0, (0,) * (n + 1))
+    for op in (lambda: A + other, lambda: A - other, lambda: A.dot(other),
+               lambda: other - A):
+        with pytest.raises(LatticeMismatchError):
+            op()
+
+
+def test_non_integral_entries_rejected():
+    # int() would truncate these: 1.9 to 1, 2.5 to 2, Fraction(1, 2) to 0
+    with pytest.raises(TypeError):
+        DivisorClass(1.9, (0.5, 1))
+    with pytest.raises(TypeError):
+        DivisorClass(1, (Fraction(1, 2), 1))
+    e = DivisorClass(1, (1, 0))
+    for k in (2.5, Fraction(1, 2), 2.0):
+        with pytest.raises(TypeError):
+            e * k
+        with pytest.raises(TypeError):
+            k * e
+    for vec in ([5.4, 1, 2], [5, 1, Fraction(4, 2)], ["5", 1, 2]):
+        with pytest.raises(TypeError):
+            DivisorClass.from_vector(vec)
+        with pytest.raises(TypeError):
+            BlowupLattice(2).from_vector(vec)
+    # integral types are accepted, and stored as int
+    vec = DivisorClass(True, (False, 2)).to_vector()
+    assert vec == [1, 0, 2] and all(type(x) is int for x in vec)

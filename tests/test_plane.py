@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import perm
+from math import gcd, perm
 
 import pytest
 
@@ -73,6 +73,19 @@ def test_general_point_misses_catalogued_lines():
             if e.line is not None:
                 a, b, c = e.line
                 assert a * p[0] + b * p[1] + c * p[2] != 0
+
+
+def test_points_are_coprime_integer_triples():
+    cfgs = [standard_quadrilateral(), standard_quadrilateral(with_p7=True)]
+    cfgs += [standard_quadrilateral(with_general_point=True, seed=seed)
+             for seed in (0, 7, 37)]
+    for cfg in cfgs:
+        for p in cfg.points:
+            assert len(p) == 3 and all(type(c) is int for c in p)
+            assert gcd(*p) == 1
+    # the general point of seed 37 is the affine (9/2, 7/9, 1), drawn with
+    # rational coordinates and stored as the coprime triple
+    assert cfgs[-1].points[-1] == (81, 14, 18)
 
 
 def test_p7_and_general_point_exclusive():
@@ -436,14 +449,18 @@ def test_interpolation_general_point_scaling():
     pts = [third, twothirds, (Fraction(0), Fraction(0), Fraction(1))]
     assert interpolation_dimension(pts, 1, [(0, 1), (1, 1), (2, 1)]) == 1
     assert interpolation_dimension(pts, 2, [(0, 2), (1, 1), (2, 1)]) == 2
-    # the seeded general point has rational coordinates; scaling it to
-    # coprime integers must not change any dimension
+    # the seeded general point is drawn with rational affine coordinates and
+    # stored scaled to coprime integers; the affine form (x/z, y/z, 1) is
+    # scaled back inside interpolation_dimension, with the same dimensions
     for seed in (0, 7, 37):
         cfg = standard_quadrilateral(with_general_point=True, seed=seed)
-        assert any(c.denominator > 1 for c in cfg.points[-1])
+        x, y, z = cfg.points[-1]
+        assert z > 1
+        affine = cfg.points[:-1] + ((Fraction(x, z), Fraction(y, z), Fraction(1)),)
         for d, assignments in ((4, ((6, 3),)), (5, ((6, 3), (0, 2))),
                                (6, ((6, 4), (1, 3))), (3, ((6, 2), (2, 2))),
                                (6, tuple((i, 2) for i in range(7)))):
             assert interpolation_dimension(cfg.points, d, assignments) == \
+                interpolation_dimension(affine, d, assignments) == \
                 h0_fat_points(cfg, FatPointSystem(d, assignments)) == \
-                _reference_dimension(cfg.points, d, assignments)
+                _reference_dimension(affine, d, assignments)

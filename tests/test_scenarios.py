@@ -159,6 +159,43 @@ def test_cli_custom(tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1 and "JSON object" in err
 
 
+def _edited(name, keys, value):
+    """The shipped document ``name`` with the entry at ``keys`` replaced."""
+    doc = load_document(data_path(name))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return doc
+
+
+def test_cli_rejects_non_integral_input(tmp_path, capsys):
+    # int() used to truncate each of these: L1 degree 5.4 printed
+    # "L1 = [5, ...]" and exited 0
+    for i, (keys, value) in enumerate(((("L1", 0), 5.4),
+                                       (("components", 0, "branch"), 1.5),
+                                       (("components", 0, "multiplicity"), 1.0),
+                                       (("lattice_n",), 7.0),
+                                       (("pencil", 1), 0.5))):
+        doc = _edited("example2.json", keys, value)
+        with pytest.raises(TypeError):
+            run_custom(doc)
+        path = tmp_path / f"custom{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["custom", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: malformed cover document")
+    for i, (keys, value) in enumerate(((("lattice_n",), 6.5),
+                                       (("classes", 0, 1), 1.5))):
+        path = tmp_path / f"code{i}.json"
+        path.write_text(json.dumps(_edited("nodal_sides.json", keys, value)))
+        assert main(["code", "--fixture", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: bad fixture")
+
+
 def test_cli_custom_consistency_failure_exits_1(monkeypatch, capsys):
     from bidouble import covers
 
