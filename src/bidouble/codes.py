@@ -15,6 +15,7 @@ length s pushed through the coordinate-doubling injection
 from __future__ import annotations
 
 from collections import Counter
+from operator import index
 
 from .lattice import BlowupLattice
 
@@ -42,8 +43,8 @@ class EnumerationCapError(ValueError):
 
 
 def _bits(row, length: int) -> int:
-    """A 0/1 row (entries read mod 2) or an int as an F_2 vector, bit j for
-    coordinate j."""
+    """A 0/1 row (integral entries read mod 2) or an int as an F_2 vector,
+    bit j for coordinate j."""
     if isinstance(row, int):
         if row < 0 or row >> length:
             raise ValueError(f"{row} is not a vector of length {length}")
@@ -51,7 +52,7 @@ def _bits(row, length: int) -> int:
     row = list(row)
     if len(row) != length:
         raise ValueError(f"row of length {len(row)}, expected {length}")
-    return sum((int(b) & 1) << j for j, b in enumerate(row))
+    return sum((index(b) & 1) << j for j, b in enumerate(row))
 
 
 def _rref2(rows) -> list[int]:
@@ -92,7 +93,7 @@ class BinaryCode:
     """
 
     def __init__(self, length: int, generators=()):
-        self.length = int(length)
+        self.length = index(length)
         self.generators = _rref2(_bits(row, self.length) for row in generators)
 
     @property

@@ -23,25 +23,27 @@ disjoint curves of self-intersection G^2/2 (the (-1)-pairs among these are
 contracted to reach the minimal model), for b > 0 it stays irreducible of
 genus b/2 - 1 with self-intersection G^2.
 
-A member of a square-zero pencil pulls back with multiplicity 2 exactly
-when each of its components is either a branch component or carries even
-multiplicity; counting such members over the decomposition oracle yields
-the number of double fibres.
+A member of a conic-bundle pencil |F| (F^2 = 0, K.F = -2, F nef) pulls
+back with multiplicity 2 exactly when each of its components is either a
+branch component or carries even multiplicity.  The general members in
+the branch locus and the reducible members from ``plane.reducible_fibres``
+(read off every negative curve orthogonal to F, with no search) give the
+number of double fibres; other pencil classes are refused.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import comb, prod
 
 from .lattice import DivisorClass, BlowupLattice
-from .plane import (PointConfiguration, _decompositions_with_flag, h0_class,
-                    _bounded_decompositions)
+from .plane import PointConfiguration, h0_class, reducible_fibres
 
 __all__ = [
     "RelationError",
     "IncidenceError",
-    "DepthExhaustedError",
     "InvariantConsistencyError",
     "BranchComponent",
     "BidoubleData",
@@ -75,11 +77,6 @@ class RelationError(ValueError):
 
 class IncidenceError(ValueError):
     """The incidence pattern at the marked point is not (1,1,1)."""
-
-
-class DepthExhaustedError(RuntimeError):
-    """The decomposition oracle hit its depth bound; the member list may be
-    incomplete."""
 
 
 class InvariantConsistencyError(ValueError):
@@ -321,44 +318,26 @@ def fibre_multiplicity(bd: BidoubleData, member, pencil: DivisorClass) -> int:
     return 2 if double else 1
 
 
-def _branch_members(bd: BidoubleData, pencil: DivisorClass):
-    """Multisets of branch components (by name) summing to the pencil class."""
-    pos = sorted(((c.name, c.cls) for c in bd.components if c.cls.degree >= 1),
-                 key=lambda t: (-t[1].degree, t[0]))
-    exc = {}
-    for c in bd.components:
-        if c.cls.degree == 0:
-            mults = c.cls.mults
-            if sum(1 for m in mults if m) == 1 and min(mults) == -1:
-                exc[mults.index(-1)] = c.name
-    members, _ = _bounded_decompositions(pos, exc, pencil, cap=max(pencil.degree, 0))
-    return members
-
-
 def count_double_fibres(bd: BidoubleData, pencil: DivisorClass,
-                        cfg: PointConfiguration,
-                        max_components: int | None = None) -> int:
-    """Number of double fibres of the fibration induced by the pencil.
+                        cfg: PointConfiguration) -> int:
+    """Number of double fibres of the conic bundle given by the pencil.
 
-    Fully-branched members are enumerated from the branch components
-    themselves (so two general members of the same pencil count twice);
-    degenerate members with unbranched components come from the effective
-    decomposition oracle and qualify when the unbranched parts all carry
-    even multiplicity.
+    Each branch component of the pencil's class is a general member (so two
+    general members of the same pencil count twice).  A reducible member
+    whose components all have branch classes counts once per choice of
+    branch components for them, a component of coefficient a with m
+    branch components of its class giving multichoose(m, a) choices; any
+    other reducible member counts when its unbranched components all carry
+    even multiplicity.  Raises ``ValueError`` unless the pencil is a conic
+    bundle (F^2 = 0, K.F = -2, F nef), before any other work.
     """
-    if pencil.dot(pencil) != 0:
-        raise ValueError("pencil class must have self-intersection 0")
-    count = len(_branch_members(bd, pencil))
-    decs, capped = _decompositions_with_flag(cfg, pencil, max_components)
-    if capped:
-        raise DepthExhaustedError(
-            "decomposition search hit its depth bound; raise max_components")
-    branch_classes = [c.cls for c in bd.components]
-    for dec in decs:
-        parts = [(cfg.cls(name), coeff) for name, coeff in dec]
-        if all(cls in branch_classes for cls, _ in parts):
-            continue  # already counted among the fully-branched members
-        if all(cls in branch_classes or coeff % 2 == 0 for cls, coeff in parts):
+    members = reducible_fibres(cfg, pencil)
+    branched = Counter(c.cls for c in bd.components)
+    count = branched[pencil]
+    for member in members:
+        if all(branched[e.cls] for e, _ in member):
+            count += prod(comb(branched[e.cls] + a - 1, a) for e, a in member)
+        elif all(branched[e.cls] or a % 2 == 0 for e, a in member):
             count += 1
     return count
 
@@ -410,14 +389,13 @@ def bicanonical_decomposition(bd: BidoubleData,
 
 
 def full_report(bd: BidoubleData, cfg: PointConfiguration,
-                pencil: DivisorClass | None = None,
-                max_components: int | None = None) -> InvariantReport:
+                pencil: DivisorClass | None = None) -> InvariantReport:
     """Invariants plus fibre count and bicanonical data in a single report."""
     rep = bidouble_invariants(bd, cfg)
     bic = bicanonical_decomposition(bd, cfg)
     fibres = None
     if pencil is not None:
-        fibres = count_double_fibres(bd, pencil, cfg, max_components)
+        fibres = count_double_fibres(bd, pencil, cfg)
     return replace(rep, double_fibres=fibres,
                    bicanonical_degree=bic.degree,
                    involution_index=bic.involution_index)

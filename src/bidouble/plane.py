@@ -25,8 +25,14 @@ or 2) and h^0 needs no matrix:
   points, by exact rank of the integer interpolation matrix (rank mod
   2^61 - 1 when full, fraction-free Bareiss otherwise); it decides which
   six points lie on a conic and cross-checks ``h0_class`` in the tests;
+* ``reducible_fibres`` -- the reducible members of a conic bundle |F|
+  (F^2 = 0, K.F = -2, F nef), read off the negative curves orthogonal to F
+  with no search: each connected set of them supports one member, whose
+  coefficients are solved exactly and checked by re-summing;
 * ``effective_decompositions`` -- a brute-force oracle listing every way to
-  write a class as a non-negative combination of catalogued classes.
+  write a class as a non-negative combination of catalogued classes; it is
+  complete only relative to the catalogue and serves as the tests'
+  reference for ``reducible_fibres``.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ __all__ = [
     "collinear",
     "interpolation_dimension",
     "h0_fat_points",
-    "class_to_system",
     "h0_class",
+    "reducible_fibres",
     "effective_decompositions",
 ]
 
@@ -433,17 +439,6 @@ def h0_fat_points(cfg: PointConfiguration, system: FatPointSystem) -> int:
     return h0_class(cfg, DivisorClass(system.degree, tuple(mults)))
 
 
-def class_to_system(cfg: PointConfiguration, d: DivisorClass) -> FatPointSystem:
-    """Translate a lattice class into the matching interpolation problem."""
-    if d.n != cfg.lattice.n:
-        raise ValueError("class does not live on the configuration's lattice")
-    if any(m < 0 for m in d.mults):
-        raise ValueError(
-            "negative multiplicity; remove fixed parts before interpolating")
-    return FatPointSystem(d.degree,
-                          tuple((i, m) for i, m in enumerate(d.mults) if m >= 1))
-
-
 def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
     """h^0 of a divisor class on the blowup, by lattice arithmetic alone.
 
@@ -503,21 +498,115 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
 
 
 # ---------------------------------------------------------------------------
+# reducible members of conic bundles
+
+
+def _coefficients(columns, target) -> list[int] | None:
+    """Integers a with sum(a_i * columns[i]) == target, by fraction-free
+    elimination, for linearly independent integer columns.
+
+    None when the columns are dependent or a quotient is not exact; an
+    inconsistent system also yields a vector, which the caller's re-sum
+    rejects.
+    """
+    k = len(columns)
+    rows = [list(r) for r in zip(*columns, target)]
+    pivots = []
+    for i in range(k):
+        pivot = next((r for r in rows if r[i]), None)
+        if pivot is None:
+            return None
+        rows.remove(pivot)
+        p = pivot[i]
+        rows = [[p * x - r[i] * y for x, y in zip(r, pivot)] if r[i] else r
+                for r in rows]
+        pivots.append(pivot)
+    a = [0] * k
+    for i in reversed(range(k)):
+        row = pivots[i]
+        a[i], rest = divmod(row[k] - sum(map(mul, row[i + 1:k], a[i + 1:])),
+                            row[i])
+        if rest:
+            return None
+    return a
+
+
+def reducible_fibres(cfg: PointConfiguration, F: DivisorClass):
+    """Every reducible member of the conic bundle |F|.
+
+    F must be a conic bundle: F^2 = 0, K.F = -2 and F.C >= 0 for every
+    negative curve C (then |F| is a base-point-free pencil of conics);
+    otherwise ``ValueError``.  A component of a reducible member meets F in
+    0 and has negative self-intersection, so the members are read off the
+    entries of ``negative_entries`` orthogonal to F, with no search: by
+    Zariski's lemma each connected component of those curves (C.C' > 0)
+    is the support of exactly one member.  Its curves are linearly
+    independent, so the coefficients a_i with sum a_i C_i = F are unique;
+    they are solved exactly and checked by re-summing.
+
+    Returns the members as tuples of (entry, coefficient) pairs, ordered by
+    their first curve in ``negative_entries``.
+
+    >>> cfg = standard_quadrilateral()
+    >>> for member in reducible_fibres(cfg, cfg.cls("f1")):
+    ...     print(" + ".join(f"{a}*{e.name}" for e, a in member))
+    1*S1 + 2*e1 + 1*S4
+    1*S2 + 2*e3 + 1*S3
+    1*Delta2 + 1*Delta3
+    """
+    if F.n != cfg.lattice.n:
+        raise ValueError("class does not live on the configuration's lattice")
+    deg, mults = F.degree, F.mults
+    curves = cfg._negative_curves
+    meets = [deg * c_deg - sum(map(mul, mults, c_mults))
+             for c_deg, c_mults, _ in curves]
+    if deg * deg != sum(map(mul, mults, mults)) or 3 * deg - sum(mults) != 2 \
+            or min(meets, default=0) < 0:
+        raise ValueError(
+            f"pencil class {F} is not a conic bundle: it must have "
+            "self-intersection 0, K-degree -2 and meet every negative curve "
+            "non-negatively")
+
+    def meet(i, j):
+        (d, m, _), (e, n, _) = curves[i], curves[j]
+        return d * e - sum(map(mul, m, n))
+
+    left = [i for i, m in enumerate(meets) if m == 0]
+    members = []
+    while left:
+        support = [left.pop(0)]
+        for i in support:  # the list grows while it is walked
+            near = [j for j in left if meet(i, j) > 0]
+            support += near
+            left = [j for j in left if j not in near]
+        # solve and re-sum on the vectors (d, m_1, ..., m_n)
+        columns = [(curves[i][0],) + curves[i][1] for i in support]
+        a = _coefficients(columns, (deg,) + mults)
+        entries = [cfg.negative_entries[i] for i in support]
+        if a is None or min(a) < 1 or \
+                [sum(map(mul, a, row)) for row in zip(*columns)] != [deg, *mults]:
+            raise ValueError(
+                f"the negative curves {[e.name for e in entries]} orthogonal "
+                f"to {F} do not sum to it")
+        members.append(tuple(zip(entries, a)))
+    return members
+
+
+# ---------------------------------------------------------------------------
 # effective decompositions
 
 
 def _bounded_decompositions(pos_atoms, exc_atoms, target: DivisorClass,
-                            cap: int | None):
+                            cap: int):
     """All ways to write ``target`` as a non-negative combination of atoms.
 
     ``pos_atoms`` are (name, class) pairs of positive degree, ``exc_atoms``
     maps a 0-based point index to the name of the pure exceptional class
     available for it.  ``cap`` bounds the number of positive-degree
-    components counted with multiplicity.  Returns (decompositions, capped)
-    where ``capped`` reports whether the bound cut off any branch.
+    components counted with multiplicity.  Returns the sorted list of
+    decompositions.
     """
     results = []
-    capped = False
 
     def finish(rem: DivisorClass, chosen):
         if rem.degree != 0 or any(m > 0 for m in rem.mults):
@@ -532,29 +621,30 @@ def _bounded_decompositions(pos_atoms, exc_atoms, target: DivisorClass,
         results.append(tuple(sorted(chosen + tail)))
 
     def search(i: int, rem: DivisorClass, used: int, chosen):
-        nonlocal capped
         if rem.degree == 0:
             finish(rem, chosen)
             return
         if i == len(pos_atoms):
             return
         name, cls = pos_atoms[i]
-        top = rem.degree // cls.degree
-        if cap is not None and used + top > cap:
-            if top > cap - used:
-                capped = True
-            top = cap - used
+        top = min(rem.degree // cls.degree, cap - used)
         for c in range(top + 1):
             search(i + 1, rem - c * cls, used + c,
                    chosen + [(name, c)] if c else chosen)
 
     search(0, target, 0, [])
-    return sorted(set(results)), capped
+    return sorted(set(results))
 
 
 def effective_decompositions(cfg: PointConfiguration, d: DivisorClass,
                              max_components: int | None = None):
     """Every way to write ``d`` as a non-negative sum of catalogued classes.
+
+    A brute-force search over ``cfg.entries``, so it is complete only
+    relative to the catalogue: a curve that is not catalogued (such as the
+    line l-e3-e7 on the P7 blowup) never appears.  ``reducible_fibres``
+    lists the members of a conic bundle over every negative curve instead;
+    this oracle is the reference the tests compare it with.
 
     Returns a sorted list of multisets, each a tuple of (name, coefficient)
     pairs.  ``max_components`` bounds the number of positive-degree
@@ -565,11 +655,6 @@ def effective_decompositions(cfg: PointConfiguration, d: DivisorClass,
         raise ValueError("class does not live on the configuration's lattice")
     if max_components is not None and max_components < 1:
         raise ValueError("component bound must be >= 1")
-    decs, _ = _decompositions_with_flag(cfg, d, max_components)
-    return decs
-
-
-def _decompositions_with_flag(cfg, d, max_components):
     pos = [(e.name, e.cls) for e in cfg.entries if e.cls.degree >= 1]
     pos.sort(key=lambda t: (-t[1].degree, t[0]))
     exc = {}

@@ -37,7 +37,9 @@ __all__ = [
 SCENARIO_NAMES = ("example1", "example1-degenerate", "example2", "example3",
                   "lemma-numeri", "codes", "bounds")
 
-# complete search depth for degree-2 pencils; recorded in every report
+# the search depth that made a catalogue search complete for degree-2
+# pencils; the fibre count needs no search, but every report keeps the
+# field so that report bytes stay the same
 DECOMPOSITION_DEPTH = 2
 
 

@@ -232,3 +232,12 @@ def test_contains_and_eq():
         assert v.contains(w)
     assert not v.contains([1, 0, 0, 0, 0, 0])
     assert v == BinaryCode(6, [[1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 1, 1]])
+
+
+def test_non_integral_input_rejected():
+    # int() used to truncate both: the row read as [1, 0, 1], the length as 2
+    with pytest.raises(TypeError):
+        BinaryCode(3, [[1.9, 0.5, 1]])
+    with pytest.raises(TypeError):
+        BinaryCode(2.7, [])
+    assert BinaryCode(3, [[True, 0, 3]]).to_rows() == [[1, 0, 1]]

@@ -3,8 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from bidouble.covers import (BidoubleData, BranchComponent,
-                             DepthExhaustedError, IncidenceError,
+from bidouble.covers import (BidoubleData, BranchComponent, IncidenceError,
                              RelationError, bicanonical_decomposition,
                              bidouble_invariants, branch_preimage,
                              contraction_count, count_double_fibres,
@@ -232,8 +231,45 @@ def test_count_double_fibres_guards():
     bd = example1(CFG6)
     with pytest.raises(ValueError, match="self-intersection 0"):
         count_double_fibres(bd, CFG6.cls("S1"), CFG6)
-    with pytest.raises(DepthExhaustedError):
-        count_double_fibres(bd, CFG6.cls("f1"), CFG6, max_components=1)
+    # the count has no depth bound to exhaust
+    assert count_double_fibres(bd, CFG6.cls("f1"), CFG6) == 5
+    # |2 f1| is not a pencil, so it has no double fibres to count
+    with pytest.raises(ValueError, match="not a conic bundle"):
+        count_double_fibres(bd, 2 * CFG6.cls("f1"), CFG6)
+
+
+def test_count_double_fibres_of_c():
+    # |C| on P7 has the reducible members S1 + 2(l-e3-e7) + S4,
+    # S2 + 2(l-e1-e7) + S3 and Delta2bar + 2 Delta1 + Delta3bar.  In
+    # example 2, C is a branch component (one general member), S1..S4,
+    # Delta2bar and Delta3bar are branched and the unbranched l-e3-e7,
+    # l-e1-e7 and Delta1 carry coefficient 2: 1 + 3 = 4 double fibres.  In
+    # example 3, Delta1 is branched too, which changes nothing.  The
+    # catalogue search missed the first two members (the lines through P7
+    # and P3 or P1 are not catalogued) and counted 2.
+    assert count_double_fibres(example2(CFG7), CFG7.cls("C"), CFG7) == 4
+    assert count_double_fibres(example3(CFG7), CFG7.cls("C"), CFG7) == 4
+
+
+def test_count_double_fibres_other_pencils():
+    # the catalogue search gave the same counts for f2 and f3, every
+    # member of those pencils being catalogued
+    counts = [[count_double_fibres(bd, cfg.cls(f), cfg) for f in ("f2", "f3")]
+              for bd, cfg in ((example1(CFG6), CFG6), (example2(CFG7), CFG7),
+                              (example3(CFG7), CFG7))]
+    assert counts == [[4, 4], [2, 3], [3, 3]]
+
+
+def test_count_double_fibres_counts_name_choices():
+    # a member whose components are all branched counts once per choice of
+    # branch components: with e1 listed twice, S1 + 2 e1 + S4 has the
+    # choices {e1, e1}, {e1, e1'} and {e1', e1'}; f1, f1', Delta2 + Delta3
+    # and S2 + 2 e3 + S3 add one each
+    bd = example1(CFG6)
+    e1 = CFG6.lattice.exceptional(1)
+    twice = replace(bd, components=bd.components + (
+        BranchComponent("e1", e1, 2), BranchComponent("e1'", e1, 2)))
+    assert count_double_fibres(twice, CFG6.cls("f1"), CFG6) == 7
 
 
 def test_bicanonical_example1():

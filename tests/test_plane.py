@@ -6,10 +6,10 @@ from math import gcd, perm
 import pytest
 
 from bidouble.lattice import BlowupLattice, DivisorClass
-from bidouble.plane import (FatPointSystem, PointConfiguration,
-                            class_to_system, collinear, det3,
-                            effective_decompositions, h0_class, h0_fat_points,
-                            interpolation_dimension, rank_rational,
+from bidouble.plane import (FatPointSystem, PointConfiguration, collinear,
+                            det3, effective_decompositions, h0_class,
+                            h0_fat_points, interpolation_dimension,
+                            rank_rational, reducible_fibres,
                             standard_quadrilateral, sum_of_decomposition)
 
 
@@ -165,18 +165,6 @@ def test_general_position_stability():
     assert values[0] == values[1] == values[2]
 
 
-def test_class_to_system():
-    cfg = standard_quadrilateral()
-    sys_ = class_to_system(cfg, DivisorClass(2, (1, 0, 1, 0, 1, 1)))
-    assert sys_.degree == 2
-    assert sys_.assignments == ((0, 1), (2, 1), (4, 1), (5, 1))
-    minus_k = -1 * cfg.lattice.canonical
-    assert class_to_system(cfg, minus_k).assignments == \
-        tuple((i, 1) for i in range(6))
-    with pytest.raises(ValueError):
-        class_to_system(cfg, DivisorClass(2, (0, 0, 0, -1, 0, 0)))
-
-
 def test_h0_class_fixed_parts():
     cfg = standard_quadrilateral(with_p7=True)
     k = cfg.lattice.canonical
@@ -321,6 +309,85 @@ def test_effective_decompositions_exceptional():
     cfg = standard_quadrilateral()
     decs = effective_decompositions(cfg, cfg.lattice.exceptional(1))
     assert decs == [(("e1", 1),)]
+
+
+def _names(member):
+    return tuple(sorted((e.name, a) for e, a in member))
+
+
+def _check_fibration(cfg, F, members):
+    # every member re-sums to F, and the reducible fibres account for the
+    # Picard rank: rho = n + 1 = 2 + sum (components - 1)
+    for member in members:
+        assert sum((a * e.cls for e, a in member), cfg.lattice.zero) == F
+        assert all(a >= 1 and e.cls.dot(F) == 0 for e, a in member)
+    assert sum(len(m) - 1 for m in members) == cfg.lattice.n - 1
+
+
+def test_reducible_fibres_match_catalogue_oracle():
+    # on these configurations every curve in a reducible member of f1, f2
+    # and f3 is catalogued, so the brute-force oracle's decompositions
+    # with more than one component are exactly the reducible members
+    for name, cfg in _configurations():
+        for pencil in ("f1", "f2", "f3"):
+            F = cfg.cls(pencil)
+            members = reducible_fibres(cfg, F)
+            assert len(members) == (4 if name.startswith("general") else 3)
+            assert sorted(map(_names, members)) == \
+                [d for d in effective_decompositions(cfg, F) if len(d) > 1]
+            _check_fibration(cfg, F, members)
+
+
+def test_reducible_fibres_of_c_on_p7():
+    # C = f2 + f3 - 2e7 = 4l - 2e1 - e2 - 2e3 - e4 - e5 - e6 - 2e7, and
+    #   S1 + 2(l-e3-e7) + S4 = (l-e1-e2-e5) + (l-e1-e4-e6) + 2(l-e3-e7),
+    #   S2 + 2(l-e1-e7) + S3 = (l-e2-e3-e6) + (l-e3-e4-e5) + 2(l-e1-e7),
+    #   Delta2bar + 2 Delta1 + Delta3bar
+    #     = (l-e2-e4-e7) + 2(l-e1-e3) + (l-e5-e6-e7);
+    # the lines l-e3-e7 and l-e1-e7 are not catalogued, so the catalogue
+    # oracle finds the last member only
+    cfg = standard_quadrilateral(with_p7=True)
+    C = cfg.cls("C")
+    members = reducible_fibres(cfg, C)
+    assert [[(e.name, a) for e, a in m] for m in members] == [
+        [("S1", 1), ("l-e3-e7", 2), ("S4", 1)],
+        [("S2", 1), ("l-e1-e7", 2), ("S3", 1)],
+        [("Delta2bar", 1), ("Delta1", 2), ("Delta3bar", 1)],
+    ]
+    _check_fibration(cfg, C, members)
+    assert [d for d in effective_decompositions(cfg, C) if len(d) > 1] == \
+        [_names(members[2])]
+
+
+def test_reducible_fibres_of_a_pencil_of_lines():
+    # l - e1, the lines through P1: S1 + e2 + e5, S4 + e4 + e6, Delta1 + e3
+    cfg = standard_quadrilateral()
+    F = DivisorClass(1, (1, 0, 0, 0, 0, 0))
+    members = reducible_fibres(cfg, F)
+    assert sorted(map(_names, members)) == [
+        (("Delta1", 1), ("e3", 1)),
+        (("S1", 1), ("e2", 1), ("e5", 1)),
+        (("S4", 1), ("e4", 1), ("e6", 1)),
+    ]
+    _check_fibration(cfg, F, members)
+
+
+def test_reducible_fibres_refuse_other_classes():
+    cfg = standard_quadrilateral(with_p7=True)
+    f1 = cfg.cls("f1")
+    refused = (
+        2 * f1,                                      # K.F = -4
+        cfg.cls("S1"),                               # F^2 = -1
+        DivisorClass(1, (0,) * 7),                   # F^2 = 1
+        # conics through P1, P2, P3, P5: F^2 = 0 and K.F = -2, but
+        # F.S1 = -1, S1 passing through three of the base points
+        DivisorClass(2, (1, 1, 1, 0, 1, 0, 0)),
+    )
+    for F in refused:
+        with pytest.raises(ValueError, match="not a conic bundle"):
+            reducible_fibres(cfg, F)
+    with pytest.raises(ValueError, match="lattice"):
+        reducible_fibres(cfg, DivisorClass(2, (0, 1, 0, 1, 1, 1)))
 
 
 def test_interpolation_dimension_standalone():

@@ -196,6 +196,17 @@ def test_cli_rejects_non_integral_input(tmp_path, capsys):
         assert err.startswith("error: bad fixture")
 
 
+def test_cli_custom_refuses_pencils_that_are_not_conic_bundles(tmp_path, capsys):
+    # |2 f1| is not a pencil: the document is refused before any search
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(
+        _edited("example2.json", ("pencil",), [4, 0, 2, 0, 2, 2, 2, 0])))
+    assert main(["custom", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert "not a conic bundle" in err
+
+
 def test_cli_custom_consistency_failure_exits_1(monkeypatch, capsys):
     from bidouble import covers
 
@@ -278,6 +289,28 @@ def test_no_matrix_on_the_h0_path(monkeypatch, capsys):
     conic = tuple((Fraction(t), Fraction(t * t), Fraction(1)) for t in range(6))
     plane.PointConfiguration(conic, frozenset(), BlowupLattice(6),
                              ()).negative_entries
+    assert len(calls) == 1
+
+
+def test_no_search_on_the_fibre_path(monkeypatch, capsys):
+    from bidouble import plane
+
+    calls = []
+    real = plane._bounded_decompositions
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(plane, "_bounded_decompositions", counting)
+    assert main(["verify", "all", "--seed", "5"]) == 0
+    for n in (1, 2, 3):
+        assert main(["custom", str(data_path(f"example{n}.json"))]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the counter does see the catalogue search
+    cfg = plane.standard_quadrilateral()
+    plane.effective_decompositions(cfg, cfg.cls("f1"))
     assert len(calls) == 1
 
 
