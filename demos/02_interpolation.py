@@ -1,7 +1,9 @@
 """Exact fat-point interpolation over the quadrilateral configuration.
 
-Every dimension below is the corank of an integer matrix, computed over
-the rationals -- no floating point, no tolerance.
+Every dimension below is exact and needs no matrix: the negative curves
+that meet the system negatively are split off as fixed components, and
+Riemann-Roch gives h^0 of the nef residue -- integer lattice arithmetic,
+no floating point, no tolerance.
 """
 
 from bidouble import (FatPointSystem, h0_class, h0_fat_points,

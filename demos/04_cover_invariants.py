@@ -6,9 +6,7 @@ relations exactly; then every invariant of the construction falls out of
 integer arithmetic plus exact interpolation.
 """
 
-from bidouble import (bicanonical_decomposition, bidouble_invariants,
-                      branch_preimage, count_double_fibres,
-                      standard_quadrilateral, validate)
+from bidouble import analyse, branch_preimage, standard_quadrilateral
 from bidouble.examples import example2
 
 cfg = standard_quadrilateral(with_p7=True)
@@ -20,11 +18,10 @@ for i in (1, 2, 3):
     print(f"  D{i} = {comps}   (class {bd.branch_class(i)})")
 print("L1 =", bd.L1)
 print("L2 =", bd.L2)
-l3 = validate(bd)
+l3, rep, bic = analyse(bd, cfg, cfg.cls("f1"))
 print("L3 =", l3, "  (derived; both cover relations hold exactly)")
 print()
 
-rep = bidouble_invariants(bd, cfg)
 print(f"chi = {rep.chi}   p_g = {rep.pg}   q = {rep.q}")
 print(f"K^2 of the smooth cover: {rep.K2_cover}")
 print(f"contracted (-1)-curves:  {rep.contractions}")
@@ -42,7 +39,6 @@ for comp in bd.components:
               f"genus {pre.genus}, square {pre.self_intersection}")
 print()
 
-bic = bicanonical_decomposition(bd, cfg)
 print(f"bicanonical space: {bic.h0_invariant} invariant sections plus "
       f"character dimensions {list(bic.h0_characters)} (total "
       f"P2 = {bic.total})")
@@ -50,5 +46,5 @@ print(f"the map has degree {bic.degree}; the bicanonical involution is "
       f"number {bic.involution_index}")
 print()
 
-fibres = count_double_fibres(bd, cfg.cls("f1"), cfg)
-print(f"the genus-3 pencil pulled back from |f1| has {fibres} double fibres")
+print(f"the genus-3 pencil pulled back from |f1| has {rep.double_fibres} "
+      "double fibres")

@@ -12,10 +12,9 @@ from .codes import (BinaryCode, EnumerationCapError, NodalInputError,
                     isotropy_bound_holds, weights)
 from .covers import (BicanonicalDecomposition, BidoubleData, BranchComponent,
                      BranchPreimage, IncidenceError, InvariantConsistencyError,
-                     InvariantReport, RelationError, bicanonical_decomposition,
-                     bidouble_invariants, branch_preimage, contraction_count,
-                     count_double_fibres, double_cover_chi, etale_double,
-                     fibre_multiplicity, full_report, numeri_identities,
+                     InvariantReport, RelationError, analyse, branch_preimage,
+                     contraction_count, count_double_fibres, double_cover_chi,
+                     etale_double, fibre_multiplicity, numeri_identities,
                      resolve_111, slope_check, validate)
 from .examples import example1, example2, example3, halve
 

@@ -89,7 +89,7 @@ def _custom_text(report: dict) -> str:
 def _cmd_custom(args) -> int:
     try:
         doc = load_document(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: cannot read cover document: {exc}", file=sys.stderr)
         return 2
     try:
@@ -139,7 +139,7 @@ def _cmd_code(args) -> int:
         doc = load_document(args.fixture)
         lat = BlowupLattice(index(doc["lattice_n"]))
         classes = [lat.from_vector(v) for v in doc["classes"]]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"error: bad fixture: {exc}", file=sys.stderr)
         return 2
     try:

@@ -15,7 +15,10 @@ With D := D_1 + D_2 + D_3 the cover X has
 
 and the double of the canonical class pulls back from 2K + D, so the
 bicanonical space decomposes into h^0(2K+D) plus the three character
-summands h^0(2K+D-L_i).
+summands h^0(2K+D-L_i).  ``analyse`` computes all of this once per
+construction: seven h^0 (three adjoint, one invariant, three character
+classes), the contraction bookkeeping and, given a pencil, the double
+fibres.
 
 Each smooth rational branch component G in D_i is covered by a double
 cover branched at b = G.(D_j + D_k) points: for b = 0 it splits into two
@@ -34,7 +37,7 @@ number of double fibres; other pencil classes are refused.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb, prod
 
@@ -53,12 +56,10 @@ __all__ = [
     "validate",
     "branch_preimage",
     "contraction_count",
-    "bidouble_invariants",
     "resolve_111",
     "fibre_multiplicity",
     "count_double_fibres",
-    "bicanonical_decomposition",
-    "full_report",
+    "analyse",
     "double_cover_chi",
     "numeri_identities",
     "etale_double",
@@ -183,7 +184,11 @@ class BranchPreimage:
 
 def branch_preimage(bd: BidoubleData, name: str) -> BranchPreimage:
     """Preimage of a smooth rational branch component in the cover."""
-    comp = bd.component(name)
+    return _preimage(bd, bd.component(name))
+
+
+def _preimage(bd: BidoubleData, comp: BranchComponent) -> BranchPreimage:
+    name = comp.name
     b = comp.cls.dot(bd.branch_total - bd.branch_class(comp.branch))
     sq = comp.cls.dot(comp.cls)
     if b % 2 != 0:
@@ -203,7 +208,7 @@ def branch_preimage(bd: BidoubleData, name: str) -> BranchPreimage:
 
 def contraction_count(bd: BidoubleData) -> int:
     """Total number of (-1)-curves contracted towards the minimal model."""
-    return sum(branch_preimage(bd, c.name).contracted for c in bd.components)
+    return sum(_preimage(bd, c).contracted for c in bd.components)
 
 
 @dataclass(frozen=True)
@@ -216,41 +221,12 @@ class InvariantReport:
     q: int
     contractions: int
     K2_minimal: int
-    double_fibres: int | None = None
-    bicanonical_degree: int | None = None
-    involution_index: int | None = None
+    double_fibres: int | None
+    bicanonical_degree: int | None
+    involution_index: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "chi": self.chi,
-            "K2_cover": self.K2_cover,
-            "pg": self.pg,
-            "q": self.q,
-            "contractions": self.contractions,
-            "K2_minimal": self.K2_minimal,
-            "double_fibres": self.double_fibres,
-            "bicanonical_degree": self.bicanonical_degree,
-            "involution_index": self.involution_index,
-        }
-
-
-def bidouble_invariants(bd: BidoubleData, cfg: PointConfiguration) -> InvariantReport:
-    """chi, K^2 of the cover, p_g, q and the contraction bookkeeping.
-
-    Assumes the base is rational (chi(O)=1, p_g=0); h^0(K+L_i) is delegated
-    to the interpolation machinery.
-    """
-    l3 = validate(bd)
-    k = bd.lattice.canonical
-    chi = 4 + sum((L.dot(L) + L.dot(k)) // 2 for L in (bd.L1, bd.L2, l3))
-    pg = sum(h0_class(cfg, k + L) for L in (bd.L1, bd.L2, l3))
-    q = pg + 1 - chi
-    m = 2 * k + bd.branch_total
-    k2_cover = m.dot(m)
-    contractions = contraction_count(bd)
-    return InvariantReport(chi=chi, K2_cover=k2_cover, pg=pg, q=q,
-                           contractions=contractions,
-                           K2_minimal=k2_cover + contractions)
+        return asdict(self)
 
 
 def resolve_111(bd: BidoubleData, cfg: PointConfiguration) -> BidoubleData:
@@ -362,43 +338,48 @@ class BicanonicalDecomposition:
         }
 
 
-def bicanonical_decomposition(bd: BidoubleData,
-                              cfg: PointConfiguration) -> BicanonicalDecomposition:
-    """h^0(2K+D) and the three character summands h^0(2K+D-L_i).
+def analyse(bd: BidoubleData, cfg: PointConfiguration,
+            pencil: DivisorClass | None = None,
+            ) -> tuple[DivisorClass, InvariantReport, BicanonicalDecomposition]:
+    """Validate the data once and compute every invariant of the cover.
 
-    The total must equal chi + K^2_minimal; a mismatch means the building
-    data is inconsistent and raises.  The map has degree 2 through the
+    Returns (L_3, report, bicanonical decomposition).  Assumes the base is
+    rational (chi(O)=1, p_g=0): p_g is the sum of h^0(K+L_i), and the
+    bicanonical space splits into h^0(2K+D) and the character summands
+    h^0(2K+D-L_i).  Their total must equal chi + K^2_minimal; a mismatch
+    means the building data is inconsistent and raises
+    :class:`InvariantConsistencyError`.  The map has degree 2 through the
     involution gamma_i exactly when one character summand is 1 and the
-    other two vanish, the invariant part carrying the map.
+    other two vanish, the invariant part carrying the map.  With a pencil,
+    its double fibres are counted as in :func:`count_double_fibres`.
     """
     l3 = validate(bd)
-    m = 2 * bd.lattice.canonical + bd.branch_total
+    ls = (bd.L1, bd.L2, l3)
+    k = bd.lattice.canonical
+    chi = 4 + sum((L.dot(L) + L.dot(k)) // 2 for L in ls)
+    pg = sum(h0_class(cfg, k + L) for L in ls)
+    m = 2 * k + bd.branch_total
+    k2_cover = m.dot(m)
+    contractions = contraction_count(bd)
+    k2_minimal = k2_cover + contractions
     inv = h0_class(cfg, m)
-    chars = tuple(h0_class(cfg, m - L) for L in (bd.L1, bd.L2, l3))
+    chars = tuple(h0_class(cfg, m - L) for L in ls)
     total = inv + sum(chars)
-    rep = bidouble_invariants(bd, cfg)
-    p2 = rep.chi + rep.K2_minimal
-    if total != p2:
+    if total != chi + k2_minimal:
         raise InvariantConsistencyError(
-            f"bicanonical summands total {total}, but chi + K2_minimal = {p2}")
+            f"bicanonical summands total {total}, but chi + K2_minimal = "
+            f"{chi + k2_minimal}")
     degree = involution = None
     if sorted(chars) == [0, 0, 1]:
         degree = 2
         involution = chars.index(1) + 1
-    return BicanonicalDecomposition(inv, chars, total, degree, involution)
-
-
-def full_report(bd: BidoubleData, cfg: PointConfiguration,
-                pencil: DivisorClass | None = None) -> InvariantReport:
-    """Invariants plus fibre count and bicanonical data in a single report."""
-    rep = bidouble_invariants(bd, cfg)
-    bic = bicanonical_decomposition(bd, cfg)
-    fibres = None
-    if pencil is not None:
-        fibres = count_double_fibres(bd, pencil, cfg)
-    return replace(rep, double_fibres=fibres,
-                   bicanonical_degree=bic.degree,
-                   involution_index=bic.involution_index)
+    fibres = None if pencil is None else count_double_fibres(bd, pencil, cfg)
+    report = InvariantReport(chi=chi, K2_cover=k2_cover, pg=pg, q=pg + 1 - chi,
+                             contractions=contractions, K2_minimal=k2_minimal,
+                             double_fibres=fibres, bicanonical_degree=degree,
+                             involution_index=involution)
+    return l3, report, BicanonicalDecomposition(inv, chars, total, degree,
+                                                involution)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Reproducible verification scenarios wiring all modules together.
 
 Each scenario runs a full pipeline (configuration -> building data ->
-validation -> invariants -> fibres -> bicanonical decomposition) and
-compares every computed quantity against its pinned expectation.  A check
-carries an ``anchor``: a one-line statement of the claim being verified,
-so a failing report points directly at the contradicted claim.
+``covers.analyse``: validation, invariants, bicanonical decomposition and
+fibres, each computed once) and compares every computed quantity against
+its pinned expectation.  A check carries an ``anchor``: a one-line
+statement of the claim being verified, so a failing report points
+directly at the contradicted claim.
 
-``run_custom`` runs the same pipeline on a user-supplied cover document
-without pinned expectations and reports the computed invariants only.
+``run_custom`` runs the same ``covers.analyse`` on a user-supplied cover
+document without pinned expectations and reports the computed invariants
+only.
 """
 
 from __future__ import annotations
@@ -122,8 +124,7 @@ class ScenarioReport:
 # scenario bodies
 
 
-def _report_checks(rep: ScenarioReport, label: str, inv, bic, fibres,
-                   expect):
+def _report_checks(rep: ScenarioReport, label: str, inv, bic, expect):
     rep.add(f"{label}-chi", "chi(O) of the cover equals 1", expect["chi"], inv.chi)
     rep.add(f"{label}-pg", "geometric genus of the cover vanishes",
             expect["pg"], inv.pg)
@@ -137,7 +138,7 @@ def _report_checks(rep: ScenarioReport, label: str, inv, bic, fibres,
             expect["K2_minimal"], inv.K2_minimal)
     rep.add(f"{label}-double-fibres",
             f"the genus-3 pencil has {expect['double_fibres']} double fibres",
-            expect["double_fibres"], fibres)
+            expect["double_fibres"], inv.double_fibres)
     rep.add(f"{label}-bicanonical",
             "the bicanonical space splits as invariant part plus one "
             "character line", expect["bicanonical"],
@@ -152,14 +153,11 @@ def _report_checks(rep: ScenarioReport, label: str, inv, bic, fibres,
 def _scenario_example1(rep: ScenarioReport) -> None:
     cfg = standard_quadrilateral()
     bd = examples.example1(cfg)
-    l3 = covers.validate(bd)
+    l3, inv, bic = covers.analyse(bd, cfg, cfg.cls("f1"))
     rep.add("valid", "2L1 = D2+D3 and 2L2 = D1+D3 hold exactly", True, True)
     rep.add("L3", "L3 = 4l-2e1-2e2-2e3-e4-e5-e6",
             [4, 2, 2, 2, 1, 1, 1], l3.to_vector())
-    inv = covers.bidouble_invariants(bd, cfg)
-    bic = covers.bicanonical_decomposition(bd, cfg)
-    fibres = covers.count_double_fibres(bd, cfg.cls("f1"), cfg)
-    _report_checks(rep, "ex1", inv, bic, fibres, {
+    _report_checks(rep, "ex1", inv, bic, {
         "chi": 1, "pg": 0, "K2_cover": -1, "contractions": 8, "K2_minimal": 7,
         "double_fibres": 5, "bicanonical": [7, [1, 0, 0]], "P2": 8,
     })
@@ -176,13 +174,10 @@ def _scenario_example1_degenerate(rep: ScenarioReport) -> None:
     bd6 = examples.example1(cfg6, degenerating=True)
     cfg = standard_quadrilateral(with_general_point=True, seed=rep.seed)
     bd = covers.resolve_111(bd6, cfg)
-    covers.validate(bd)
-    rep.add("valid", "the resolved building data still validates", True, True)
-    inv = covers.bidouble_invariants(bd, cfg)
-    bic = covers.bicanonical_decomposition(bd, cfg)
     f1 = cfg.cls("f1")
-    fibres = covers.count_double_fibres(bd, f1, cfg)
-    _report_checks(rep, "ex1deg", inv, bic, fibres, {
+    _, inv, bic = covers.analyse(bd, cfg, f1)
+    rep.add("valid", "the resolved building data still validates", True, True)
+    _report_checks(rep, "ex1deg", inv, bic, {
         "chi": 1, "pg": 0, "K2_cover": -2, "contractions": 8, "K2_minimal": 6,
         "double_fibres": 4, "bicanonical": [6, [1, 0, 0]], "P2": 7,
     })
@@ -196,7 +191,7 @@ def _scenario_example1_degenerate(rep: ScenarioReport) -> None:
 def _scenario_example2(rep: ScenarioReport) -> None:
     cfg = standard_quadrilateral(with_p7=True)
     bd = examples.example2(cfg)
-    l3 = covers.validate(bd)
+    l3, inv, bic = covers.analyse(bd, cfg, cfg.cls("f1"))
     rep.add("valid", "2L1 = D2+D3 and 2L2 = D1+D3 hold exactly", True, True)
     rep.add("L3", "L3 = 4l-2e1-2e2-2e3-e4-e5-e6-e7",
             [4, 2, 2, 2, 1, 1, 1, 1], l3.to_vector())
@@ -213,10 +208,7 @@ def _scenario_example2(rep: ScenarioReport) -> None:
             "the moving branch curve C spans a pencil of arithmetic genus 0 "
             "(irreducibility of its general member is not decided here)",
             [2, 0], [h0_class(cfg, c_cls), arithmetic_genus(c_cls)])
-    inv = covers.bidouble_invariants(bd, cfg)
-    bic = covers.bicanonical_decomposition(bd, cfg)
-    fibres = covers.count_double_fibres(bd, cfg.cls("f1"), cfg)
-    _report_checks(rep, "ex2", inv, bic, fibres, {
+    _report_checks(rep, "ex2", inv, bic, {
         "chi": 1, "pg": 0, "K2_cover": -4, "contractions": 10, "K2_minimal": 6,
         "double_fibres": 5, "bicanonical": [6, [1, 0, 0]], "P2": 7,
     })
@@ -239,12 +231,9 @@ def _scenario_example3(rep: ScenarioReport) -> None:
             [4, 1, 1, 1, 2, 2, 2, 0], bd.L1.to_vector())
     rep.add("L2-derived", "half of D1+D3 equals the L2 of example 2",
             examples.example2(cfg).L2.to_vector(), bd.L2.to_vector())
-    covers.validate(bd)
+    _, inv, bic = covers.analyse(bd, cfg, cfg.cls("f1"))
     rep.add("valid", "the derived data validates", True, True)
-    inv = covers.bidouble_invariants(bd, cfg)
-    bic = covers.bicanonical_decomposition(bd, cfg)
-    fibres = covers.count_double_fibres(bd, cfg.cls("f1"), cfg)
-    _report_checks(rep, "ex3", inv, bic, fibres, {
+    _report_checks(rep, "ex3", inv, bic, {
         "chi": 1, "pg": 0, "K2_cover": -2, "contractions": 8, "K2_minimal": 6,
         "double_fibres": 5, "bicanonical": [6, [1, 0, 0]], "P2": 7,
     })
@@ -469,12 +458,10 @@ def run_custom(doc: dict, seed: int = 0) -> dict:
         raise ValueError("a cover document must be a JSON object")
     cfg = _config_for(doc)(seed)
     bd = cover_from_document(doc, cfg)
-    l3 = covers.validate(bd)
     pencil = None
     if "pencil" in doc:
         pencil = cfg.lattice.from_vector(doc["pencil"])
-    rep = covers.full_report(bd, cfg, pencil)
-    bic = covers.bicanonical_decomposition(bd, cfg)
+    l3, rep, bic = covers.analyse(bd, cfg, pencil)
     return {
         "scenario": "custom",
         "seed": seed,

@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from bidouble.codes import (code_of_classes, de_code, is_doubly_even,
                             isotropy_bound_holds, weights)
-from bidouble.covers import (bicanonical_decomposition, bidouble_invariants,
-                             branch_preimage, count_double_fibres,
+from bidouble.covers import (analyse, branch_preimage, count_double_fibres,
                              etale_double, fibre_multiplicity,
                              numeri_identities, resolve_111, slope_check,
                              validate)
@@ -35,7 +34,7 @@ def test_criterion_1_example1():
     bd = example1(CFG6)
     l3 = validate(bd)
     assert l3 == DivisorClass(4, (2, 2, 2, 1, 1, 1))
-    rep = bidouble_invariants(bd, CFG6)
+    rep = analyse(bd, CFG6)[1]
     assert rep.K2_cover == -1
     assert rep.contractions == 8
     assert rep.K2_minimal == 7
@@ -50,7 +49,7 @@ def test_criterion_2_example1_degeneration():
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
     out = resolve_111(bd, cfg)
     validate(out)
-    rep = bidouble_invariants(out, cfg)
+    rep = analyse(out, cfg)[1]
     assert rep.K2_minimal == 6
     assert rep.pg == 0
     f1 = cfg.cls("f1")
@@ -68,11 +67,10 @@ def test_criterion_3_example2():
     from bidouble.plane import h0_class
     k = CFG7.lattice.canonical
     assert [h0_class(CFG7, k + L) for L in (bd.L1, bd.L2, l3)] == [0, 0, 0]
-    rep = bidouble_invariants(bd, CFG7)
+    _, rep, bic = analyse(bd, CFG7)
     assert rep.chi == 1
     assert rep.K2_minimal == 6
     assert h0_class(CFG7, -1 * k + CFG7.cls("f1")) == 6
-    bic = bicanonical_decomposition(bd, CFG7)
     assert (bic.h0_invariant, bic.h0_characters) == (6, (1, 0, 0))
     assert bic.total == 7
     assert (bic.degree, bic.involution_index) == (2, 1)
@@ -87,7 +85,7 @@ def test_criterion_4_example3():
     assert bd.L1 == DivisorClass(4, (1, 1, 1, 2, 2, 2, 0))
     assert bd.L2 == example2(CFG7).L2
     validate(bd)
-    rep = bidouble_invariants(bd, CFG7)
+    rep = analyse(bd, CFG7)[1]
     assert (rep.chi, rep.pg) == (1, 0)
     assert (rep.K2_cover, rep.contractions, rep.K2_minimal) == (-2, 8, 6)
     th1 = branch_preimage(bd, "Delta2bar")
@@ -219,8 +217,7 @@ def test_criterion_9_p2_consistency():
         cases.append((_permuted(bd, perms[rng.randrange(6)]), cfg))
     for bd, cfg in cases:
         validate(bd)
-        rep = bidouble_invariants(bd, cfg)
-        bic = bicanonical_decomposition(bd, cfg)
+        _, rep, bic = analyse(bd, cfg)
         assert bic.total == rep.chi + rep.K2_minimal
     _passed(9, "bicanonical totals equal chi + K2_minimal for the three "
                "examples and 20 seeded validating relabelings")

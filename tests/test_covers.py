@@ -4,13 +4,11 @@ from dataclasses import replace
 import pytest
 
 from bidouble.covers import (BidoubleData, BranchComponent, IncidenceError,
-                             RelationError, bicanonical_decomposition,
-                             bidouble_invariants, branch_preimage,
+                             RelationError, analyse, branch_preimage,
                              contraction_count, count_double_fibres,
                              double_cover_chi, etale_double,
-                             fibre_multiplicity, full_report,
-                             numeri_identities, resolve_111, slope_check,
-                             validate)
+                             fibre_multiplicity, numeri_identities,
+                             resolve_111, slope_check, validate)
 from bidouble.examples import example1, example2, example3, halve
 from bidouble.lattice import BlowupLattice, DivisorClass
 from bidouble.plane import standard_quadrilateral
@@ -74,7 +72,7 @@ def test_halve():
 
 def test_invariants_example1():
     bd = example1(CFG6)
-    rep = bidouble_invariants(bd, CFG6)
+    rep = analyse(bd, CFG6)[1]
     # oracle for K^2 of the cover: (2K + D)^2 recomputed from raw sums
     m = 2 * CFG6.lattice.canonical + bd.branch_total
     assert m == DivisorClass(9, (3, 4, 3, 4, 4, 4))
@@ -84,13 +82,13 @@ def test_invariants_example1():
 
 
 def test_invariants_example2():
-    rep = bidouble_invariants(example2(CFG7), CFG7)
+    rep = analyse(example2(CFG7), CFG7)[1]
     assert (rep.chi, rep.pg, rep.K2_cover, rep.contractions, rep.K2_minimal) \
         == (1, 0, -4, 10, 6)
 
 
 def test_invariants_example3():
-    rep = bidouble_invariants(example3(CFG7), CFG7)
+    rep = analyse(example3(CFG7), CFG7)[1]
     assert (rep.chi, rep.pg, rep.K2_cover, rep.contractions, rep.K2_minimal) \
         == (1, 0, -2, 8, 6)
 
@@ -148,16 +146,16 @@ def test_resolve_111():
     assert validate(out).to_vector() == [4, 2, 2, 2, 1, 1, 1, 1]
     assert out.component("f1").cls == DivisorClass(2, (0, 1, 0, 1, 1, 1, 1))
     assert out.component("f1p").cls == DivisorClass(2, (0, 1, 0, 1, 1, 1, 0))
-    rep = bidouble_invariants(out, cfg)
+    rep = analyse(out, cfg)[1]
     assert (rep.chi, rep.pg) == (1, 0)
     assert (rep.K2_cover, rep.contractions, rep.K2_minimal) == (-2, 8, 6)
 
 
 def test_resolve_111_preserves_chi_pg_drops_k2():
     bd = example1(CFG6, degenerating=True)
-    before = bidouble_invariants(bd, CFG6)
+    before = analyse(bd, CFG6)[1]
     cfg = standard_quadrilateral(with_general_point=True, seed=1)
-    after = bidouble_invariants(resolve_111(bd, cfg), cfg)
+    after = analyse(resolve_111(bd, cfg), cfg)[1]
     assert after.chi == before.chi and after.pg == before.pg
     assert after.K2_minimal == before.K2_minimal - 1
 
@@ -273,7 +271,7 @@ def test_count_double_fibres_counts_name_choices():
 
 
 def test_bicanonical_example1():
-    bic = bicanonical_decomposition(example1(CFG6), CFG6)
+    bic = analyse(example1(CFG6), CFG6)[2]
     assert bic.h0_invariant == 7
     assert bic.h0_characters == (1, 0, 0)
     assert bic.total == 8
@@ -281,7 +279,7 @@ def test_bicanonical_example1():
 
 
 def test_bicanonical_example2():
-    bic = bicanonical_decomposition(example2(CFG7), CFG7)
+    bic = analyse(example2(CFG7), CFG7)[2]
     assert (bic.h0_invariant, bic.h0_characters) == (6, (1, 0, 0))
     assert bic.total == 7
     assert (bic.degree, bic.involution_index) == (2, 1)
@@ -290,18 +288,21 @@ def test_bicanonical_example2():
 def test_bicanonical_totals_match_p2():
     for bd, cfg in ((example1(CFG6), CFG6), (example2(CFG7), CFG7),
                     (example3(CFG7), CFG7)):
-        rep = bidouble_invariants(bd, cfg)
-        bic = bicanonical_decomposition(bd, cfg)
+        _, rep, bic = analyse(bd, cfg)
         assert bic.total == rep.chi + rep.K2_minimal
 
 
-def test_full_report():
-    rep = full_report(example2(CFG7), CFG7, CFG7.cls("f1"))
+def test_analyse_report():
+    bd = example2(CFG7)
+    l3, rep, bic = analyse(bd, CFG7, CFG7.cls("f1"))
+    assert l3 == validate(bd)
     assert rep.double_fibres == 5
-    assert rep.bicanonical_degree == 2
-    assert rep.involution_index == 1
+    assert rep.bicanonical_degree == bic.degree == 2
+    assert rep.involution_index == bic.involution_index == 1
     assert rep.K2_minimal == rep.K2_cover + rep.contractions
     assert rep.q == rep.pg + 1 - rep.chi >= 0
+    # without a pencil nothing else changes and no fibres are counted
+    assert analyse(bd, CFG7) == (l3, replace(rep, double_fibres=None), bic)
 
 
 def test_branch_preimage_genus_nonnegative():

@@ -4,6 +4,7 @@ import pytest
 
 from bidouble.cli import main
 from bidouble.covers import RelationError
+from bidouble.plane import standard_quadrilateral
 from bidouble.scenarios import (SCENARIO_NAMES, data_path, load_document,
                                 run_custom, run_scenario)
 
@@ -57,11 +58,10 @@ def test_run_custom_matches_scenarios():
     rep = run_custom(doc)
     assert rep["valid"] and rep["l_provenance"] == "given"
     # identical to the invariant report of the built-in construction
-    from bidouble.covers import full_report
+    from bidouble.covers import analyse
     from bidouble.examples import example2
-    from bidouble.plane import standard_quadrilateral
     cfg = standard_quadrilateral(with_p7=True)
-    expected = full_report(example2(cfg), cfg, cfg.cls("f1")).to_dict()
+    expected = analyse(example2(cfg), cfg, cfg.cls("f1"))[1].to_dict()
     assert rep["invariants"] == expected
     assert rep["L3"] == [4, 2, 2, 2, 1, 1, 1, 1]
     assert rep["bicanonical"]["h0_invariant"] == 6
@@ -210,13 +210,90 @@ def test_cli_custom_refuses_pencils_that_are_not_conic_bundles(tmp_path, capsys)
 def test_cli_custom_consistency_failure_exits_1(monkeypatch, capsys):
     from bidouble import covers
 
-    def inconsistent(*args, **kwargs):
-        raise covers.InvariantConsistencyError("P2 parts do not add up")
-
-    monkeypatch.setattr(covers, "bicanonical_decomposition", inconsistent)
+    # one section too many in every system trips the P2 check in analyse:
+    # the summands total 7 + 2 + 1 + 1, chi + K2_minimal stays 1 + 6
+    real = covers.h0_class
+    monkeypatch.setattr(covers, "h0_class", lambda cfg, d: real(cfg, d) + 1)
     assert main(["custom", str(data_path("example2.json"))]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: P2 parts do not add up\n"
+    assert out == "" and err == ("error: bicanonical summands total 11, but "
+                                 "chi + K2_minimal = 7\n")
+
+
+def test_analysis_computes_each_class_once(monkeypatch, capsys):
+    # seven h0 per construction (three adjoint, one invariant, three
+    # character classes) and one validation per custom document; verify
+    # all adds example 2's own three adjoint, -K+f1 and C checks to 4 x 7
+    from bidouble import covers, scenarios
+
+    h0_calls, validations = [], []
+    real_h0, real_validate = covers.h0_class, covers.validate
+
+    def counting_h0(*args):
+        h0_calls.append(args)
+        return real_h0(*args)
+
+    def counting_validate(*args):
+        validations.append(args)
+        return real_validate(*args)
+
+    monkeypatch.setattr(covers, "h0_class", counting_h0)
+    monkeypatch.setattr(scenarios, "h0_class", counting_h0)
+    monkeypatch.setattr(covers, "validate", counting_validate)
+    assert main(["verify", "all", "--seed", "5"]) == 0
+    assert len(h0_calls) == 33
+    for n in (1, 2, 3):
+        h0_calls.clear()
+        validations.clear()
+        assert main(["custom", str(data_path(f"example{n}.json"))]) == 0
+        assert (len(h0_calls), len(validations)) == (7, 1)
+    capsys.readouterr()
+
+
+def test_contractions_need_no_name_lookup(monkeypatch):
+    # each preimage comes from the component in hand, so a branch divisor
+    # with many components costs no search by name
+    from bidouble import covers
+    from bidouble.examples import example2
+    from bidouble.scenarios import cover_from_document
+
+    doc = load_document(data_path("example2.json"))
+    # 2000 more copies of S1 in D1 keep D2 + D3, hence L1, and move L2 by
+    # 1000 S1; each copy of S1 (b = 0, S1^2 = -2) adds two contractions.
+    # The data validates but is no surface of general type, so the P2
+    # check in analyse, which runs after the contraction count, fails.
+    s1 = next(c for c in doc["components"] if c["name"] == "S1")
+    s1["multiplicity"] = 2001
+    doc["L2"] = [a + 1000 * b for a, b in zip(doc["L2"], s1["class"])]
+    lookups = []
+    real = covers.BidoubleData.component
+
+    def counting(self, name):
+        lookups.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(covers.BidoubleData, "component", counting)
+    with pytest.raises(covers.InvariantConsistencyError):
+        run_custom(doc)
+    cfg = standard_quadrilateral(with_p7=True)
+    assert covers.contraction_count(cover_from_document(doc, cfg)) \
+        == 10 + 2 * 2000
+    assert lookups == []
+    # the counter does see a lookup by name
+    covers.branch_preimage(example2(cfg), "S1")
+    assert lookups == ["S1"]
+
+
+@pytest.mark.parametrize("command", (["custom"], ["code", "--fixture"]),
+                         ids=("custom", "code"))
+def test_cli_deeply_nested_json_exits_2(command, tmp_path, capsys):
+    # the JSON decoder gives up on the nesting with RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main([*command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("error: ") and "recursion" in err
 
 
 def test_cli_h0(capsys):
