@@ -74,15 +74,23 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _emit(text: str) -> int:
+    """Print a report; exit 2 when a name taken from the input (a lone
+    surrogate, say) cannot be written to standard output."""
+    try:
+        print(text)
+    except UnicodeEncodeError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _custom_text(report: dict) -> str:
-    inv = report["invariants"]
     lines = [f"custom cover {report['source']}  (seed={report['seed']})",
              f"  L1 = {report['L1']}  L2 = {report['L2']}  "
              f"({report['l_provenance']})",
              f"  L3 = {report['L3']}"]
-    for key in ("chi", "K2_cover", "pg", "q", "contractions", "K2_minimal",
-                "double_fibres", "bicanonical_degree", "involution_index"):
-        lines.append(f"  {key} = {inv[key]}")
+    lines += (f"  {k} = {v}" for k, v in report["invariants"].items())
     return "\n".join(lines)
 
 
@@ -100,18 +108,19 @@ def _cmd_custom(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed cover document: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(_custom_text(report))
-    return 0
+    return _emit(json.dumps(report, indent=2) if args.format == "json"
+                 else _custom_text(report))
 
 
 def _cmd_h0(args) -> int:
     try:
-        mults = [int(tok) for tok in args.mults.split(",") if tok.strip() != ""]
+        mults = [int(tok) for tok in args.mults.split(",")] \
+            if args.mults.strip() else []
+        if any(m < 0 for m in mults):
+            raise ValueError
     except ValueError:
-        print("error: --mults must be comma-separated integers", file=sys.stderr)
+        print("error: --mults must be comma-separated non-negative integers",
+              file=sys.stderr)
         return 2
     try:
         cfg = standard_quadrilateral(with_p7=args.with_p7,
@@ -163,13 +172,12 @@ def _cmd_code(args) -> int:
         "isotropy": {"lhs": lhs, "rhs": rhs, "holds": holds},
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"code of {report['fixture']}: k={report['k']}, dim={report['dim']}")
-        print(f"  generators: {report['generators']}")
-        print(f"  weights: {report['weights']}  doubly even: {report['doubly_even']}")
-        print(f"  isotropy bound: {lhs} <= {rhs} -> {holds}")
-    return 0
+        return _emit(json.dumps(report, indent=2))
+    return _emit(
+        f"code of {report['fixture']}: k={report['k']}, dim={report['dim']}\n"
+        f"  generators: {report['generators']}\n"
+        f"  weights: {report['weights']}  doubly even: {report['doubly_even']}\n"
+        f"  isotropy bound: {lhs} <= {rhs} -> {holds}")
 
 
 def main(argv=None) -> int:

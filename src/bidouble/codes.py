@@ -15,7 +15,8 @@ length s pushed through the coordinate-doubling injection
 from __future__ import annotations
 
 from collections import Counter
-from operator import index
+from functools import reduce
+from operator import index, or_
 
 from .lattice import BlowupLattice
 
@@ -101,21 +102,10 @@ class BinaryCode:
         return len(self.generators)
 
     @property
-    def support(self) -> tuple[int, ...]:
-        """Coordinates appearing in some codeword (0-based).
-
-        A coordinate appears iff some generator is nonzero there, the code
-        being closed under addition.
-        """
-        mask = 0
-        for g in self.generators:
-            mask |= g
-        return tuple(j for j in range(self.length) if mask >> j & 1)
-
-    @property
     def appearing(self) -> int:
-        """Number of coordinates appearing in the code."""
-        return len(self.support)
+        """Number of coordinates appearing in some codeword: those where
+        some generator is nonzero, the code being closed under addition."""
+        return reduce(or_, self.generators, 0).bit_count()
 
     def elements(self):
         """Iterate over all 2^dim code words as 0/1 tuples (no cap check)."""

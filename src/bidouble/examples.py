@@ -1,4 +1,9 @@
-"""The three bidouble-cover constructions over the quadrilateral.
+"""The three bidouble-cover constructions over the quadrilateral, and the
+reader of the cover documents they are built from.
+
+The building data of each construction is read from its shipped document
+``data/example{1,2,3}.json``, the same file that ``bidouble custom`` runs,
+by :func:`cover_from_document`; each document is parsed once per process.
 
 * ``example1`` lives on the 6-point blowup: the branch uses a diagonal, one
   general member of each conic pencil (two of |f1|) and the four sides;
@@ -9,18 +14,31 @@
 
 * ``example2`` and ``example3`` live on the 7-point blowup at the diagonal
   point P7; both minimal models have K^2 = 6 and 5 double fibres.  The
-  L-classes of example 3 are not part of its classical description, so they
-  are derived as the exact halves of D2+D3 and D1+D3 (unique, the lattice
-  being torsion free).
+  L-classes of example 3 are not part of its classical description, so its
+  document omits them and they are derived as the exact halves of D2+D3
+  and D1+D3 (unique, the lattice being torsion free).
 """
 
 from __future__ import annotations
+
+import json
+from functools import cache
+from operator import index
+from pathlib import Path
 
 from .covers import BidoubleData, BranchComponent
 from .lattice import DivisorClass
 from .plane import PointConfiguration, standard_quadrilateral
 
-__all__ = ["example1", "example2", "example3", "halve"]
+__all__ = ["example1", "example2", "example3", "halve", "data_path",
+           "load_document", "configuration_of", "cover_from_document"]
+
+# the ``configuration`` of a cover document -> its standard_quadrilateral
+_CONFIGURATIONS = {
+    "quadrilateral": {},
+    "quadrilateral-p7": {"with_p7": True},
+    "quadrilateral-general-point": {"with_general_point": True},
+}
 
 
 def halve(cls: DivisorClass) -> DivisorClass:
@@ -30,90 +48,102 @@ def halve(cls: DivisorClass) -> DivisorClass:
     return DivisorClass(cls.degree // 2, tuple(m // 2 for m in cls.mults))
 
 
-def _component(cfg, name, branch, *, catalogue_name=None, through=False):
-    return BranchComponent(name, cfg.cls(catalogue_name or name), branch,
-                           through_point=through)
+def data_path(name: str) -> Path:
+    """Path to a shipped data file."""
+    return Path(__file__).parent / "data" / name
+
+
+def load_document(path) -> dict:
+    with open(str(path), "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def configuration_of(doc: dict, seed: int = 0) -> PointConfiguration:
+    """The configuration a cover document names; without a name, the one
+    of its lattice.  ``seed`` draws the general point, where there is one."""
+    kind = doc.get("configuration")
+    n = index(doc["lattice_n"])
+    if kind is None:
+        kind = {6: "quadrilateral", 7: "quadrilateral-p7"}.get(n)
+        if kind is None:
+            raise ValueError(f"no default configuration for lattice_n={n}")
+    if kind not in _CONFIGURATIONS:
+        raise ValueError(f"unknown configuration {kind!r}")
+    return standard_quadrilateral(seed=seed, **_CONFIGURATIONS[kind])
+
+
+def cover_from_document(doc: dict, cfg: PointConfiguration) -> BidoubleData:
+    """Build BidoubleData from a parsed cover document.
+
+    Schema: {lattice_n, components: [{name, class, branch: 0|1|2|3,
+    multiplicity}], L1, L2} with L1/L2 optional (then derived by exact
+    halving).  branch 0 entries are unbranched catalogue declarations and
+    are ignored for the cover itself.  multiplicity k expands into k
+    components named name, name#2, ...
+    """
+    lat = cfg.lattice
+    if lat.n != index(doc["lattice_n"]):
+        raise ValueError("configuration does not match lattice_n")
+    comps = []
+    for raw in doc["components"]:
+        branch = index(raw["branch"])
+        if branch == 0:
+            continue
+        cls = lat.from_vector(raw["class"])
+        mult = index(raw.get("multiplicity", 1))
+        if mult < 1:
+            raise ValueError(
+                f"component {raw['name']!r}: multiplicity must be >= 1")
+        for copy in range(mult):
+            name = raw["name"] if copy == 0 else f"{raw['name']}#{copy + 1}"
+            comps.append(BranchComponent(
+                name, cls, branch, through_point=bool(raw.get("through_point"))))
+    if "L1" in doc and "L2" in doc:
+        l1, l2 = lat.from_vector(doc["L1"]), lat.from_vector(doc["L2"])
+        provenance = "given"
+    else:
+        d1, d2, d3 = (sum((c.cls for c in comps if c.branch == i), lat.zero)
+                      for i in (1, 2, 3))
+        l1, l2 = halve(d2 + d3), halve(d1 + d3)
+        provenance = "derived"
+    return BidoubleData(lat, tuple(comps), l1, l2, l_provenance=provenance)
+
+
+@cache
+def _shipped(n: int) -> dict:
+    # parsed once per process and shared by every caller: never edit it
+    return load_document(data_path(f"example{n}.json"))
+
+
+def _build(doc: dict, cfg: PointConfiguration | None) -> BidoubleData:
+    return cover_from_document(doc, configuration_of(doc) if cfg is None else cfg)
 
 
 def example1(cfg: PointConfiguration | None = None,
              degenerating: bool = False) -> BidoubleData:
     """Branch data D1 = Delta1 + f2 + S1 + S2, D2 = Delta2 + f3,
     D3 = Delta3 + f1 + f1' + S3 + S4 on the 6-point blowup."""
-    if cfg is None:
-        cfg = standard_quadrilateral()
-    if cfg.has_p7 or cfg.has_general_point:
+    if cfg is not None and (cfg.has_p7 or cfg.has_general_point):
         raise ValueError("example 1 lives on the plain 6-point configuration")
-    comps = (
-        _component(cfg, "Delta1", 1),
-        _component(cfg, "f2", 1, through=degenerating),
-        _component(cfg, "S1", 1),
-        _component(cfg, "S2", 1),
-        _component(cfg, "Delta2", 2),
-        _component(cfg, "f3", 2, through=degenerating),
-        _component(cfg, "Delta3", 3),
-        _component(cfg, "f1", 3, through=degenerating),
-        _component(cfg, "f1p", 3, catalogue_name="f1"),
-        _component(cfg, "S3", 3),
-        _component(cfg, "S4", 3),
-    )
-    return BidoubleData(
-        cfg.lattice, comps,
-        L1=DivisorClass(5, (1, 2, 1, 3, 2, 2)),
-        L2=DivisorClass(6, (2, 2, 2, 2, 3, 3)),
-    )
+    doc = _shipped(1)
+    if degenerating:
+        doc = dict(doc, components=[
+            dict(c, through_point=c["name"] in ("f1", "f2", "f3"))
+            for c in doc["components"]])
+    return _build(doc, cfg)
 
 
 def example2(cfg: PointConfiguration | None = None) -> BidoubleData:
     """Branch data D1 = C + S1 + S2, D2 = f3,
     D3 = f1 + f1' + Delta2bar + Delta3bar + S3 + S4 on the 7-point blowup."""
-    if cfg is None:
-        cfg = standard_quadrilateral(with_p7=True)
-    if not cfg.has_p7:
+    if cfg is not None and not cfg.has_p7:
         raise ValueError("example 2 needs the P7 configuration")
-    comps = (
-        _component(cfg, "C", 1),
-        _component(cfg, "S1", 1),
-        _component(cfg, "S2", 1),
-        _component(cfg, "f3", 2),
-        _component(cfg, "f1", 3),
-        _component(cfg, "f1p", 3, catalogue_name="f1"),
-        _component(cfg, "Delta2bar", 3),
-        _component(cfg, "Delta3bar", 3),
-        _component(cfg, "S3", 3),
-        _component(cfg, "S4", 3),
-    )
-    return BidoubleData(
-        cfg.lattice, comps,
-        L1=DivisorClass(5, (1, 2, 1, 3, 2, 2, 1)),
-        L2=DivisorClass(7, (2, 3, 2, 3, 3, 3, 2)),
-    )
+    return _build(_shipped(2), cfg)
 
 
 def example3(cfg: PointConfiguration | None = None) -> BidoubleData:
     """Branch data D1 = C + Delta2bar + S1 + S2, D2 = Delta1 + e7,
     D3 = f1 + f1' + Delta3bar + S3 + S4; L1, L2 derived by exact halving."""
-    if cfg is None:
-        cfg = standard_quadrilateral(with_p7=True)
-    if not cfg.has_p7:
+    if cfg is not None and not cfg.has_p7:
         raise ValueError("example 3 needs the P7 configuration")
-    comps = (
-        _component(cfg, "C", 1),
-        _component(cfg, "Delta2bar", 1),
-        _component(cfg, "S1", 1),
-        _component(cfg, "S2", 1),
-        _component(cfg, "Delta1", 2),
-        _component(cfg, "e7", 2),
-        _component(cfg, "f1", 3),
-        _component(cfg, "f1p", 3, catalogue_name="f1"),
-        _component(cfg, "Delta3bar", 3),
-        _component(cfg, "S3", 3),
-        _component(cfg, "S4", 3),
-    )
-    d = {i: sum((c.cls for c in comps if c.branch == i), cfg.lattice.zero)
-         for i in (1, 2, 3)}
-    return BidoubleData(
-        cfg.lattice, comps,
-        L1=halve(d[2] + d[3]),
-        L2=halve(d[1] + d[3]),
-        l_provenance="derived",
-    )
+    return _build(_shipped(3), cfg)

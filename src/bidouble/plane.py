@@ -636,8 +636,7 @@ def _bounded_decompositions(pos_atoms, exc_atoms, target: DivisorClass,
     return sorted(set(results))
 
 
-def effective_decompositions(cfg: PointConfiguration, d: DivisorClass,
-                             max_components: int | None = None):
+def effective_decompositions(cfg: PointConfiguration, d: DivisorClass):
     """Every way to write ``d`` as a non-negative sum of catalogued classes.
 
     A brute-force search over ``cfg.entries``, so it is complete only
@@ -647,14 +646,11 @@ def effective_decompositions(cfg: PointConfiguration, d: DivisorClass,
     this oracle is the reference the tests compare it with.
 
     Returns a sorted list of multisets, each a tuple of (name, coefficient)
-    pairs.  ``max_components`` bounds the number of positive-degree
-    components used (default: the degree of ``d``, which is already
-    exhaustive since every positive-degree atom has degree >= 1).
+    pairs.  At most ``d.degree`` positive-degree components are used, which
+    is exhaustive since every positive-degree atom has degree >= 1.
     """
     if d.n != cfg.lattice.n:
         raise ValueError("class does not live on the configuration's lattice")
-    if max_components is not None and max_components < 1:
-        raise ValueError("component bound must be >= 1")
     pos = [(e.name, e.cls) for e in cfg.entries if e.cls.degree >= 1]
     pos.sort(key=lambda t: (-t[1].degree, t[0]))
     exc = {}
@@ -663,8 +659,7 @@ def effective_decompositions(cfg: PointConfiguration, d: DivisorClass,
             # e_i has m_i = -1 at exactly one position
             j = next(k for k, m in enumerate(e.cls.mults) if m == -1)
             exc[j] = e.name
-    cap = max_components if max_components is not None else max(d.degree, 0)
-    return _bounded_decompositions(pos, exc, d, cap)
+    return _bounded_decompositions(pos, exc, d, max(d.degree, 0))
 
 
 def sum_of_decomposition(cfg: PointConfiguration, decomposition) -> DivisorClass:

@@ -7,9 +7,11 @@ its pinned expectation.  A check carries an ``anchor``: a one-line
 statement of the claim being verified, so a failing report points
 directly at the contradicted claim.
 
-``run_custom`` runs the same ``covers.analyse`` on a user-supplied cover
-document without pinned expectations and reports the computed invariants
-only.
+The example scenarios build their data with ``examples``, which reads it
+from the shipped cover documents ``data/example{1,2,3}.json``.
+``run_custom`` runs the same reader and the same ``covers.analyse`` on a
+user-supplied cover document without pinned expectations and reports the
+computed invariants only.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import index
-from pathlib import Path
 
 from . import codes, covers, examples
+from .examples import (configuration_of, cover_from_document, data_path,
+                       load_document)
 from .lattice import (BlowupLattice, DivisorClass, arithmetic_genus,
                       castelnuovo_bound, riemann_roch_chi)
 from .plane import h0_class, standard_quadrilateral
@@ -381,73 +383,6 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
 # custom cover documents
 
 
-def data_path(name: str) -> Path:
-    """Path to a shipped data file."""
-    return Path(__file__).parent / "data" / name
-
-
-def load_document(path) -> dict:
-    with open(str(path), "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _config_for(doc: dict):
-    kind = doc.get("configuration")
-    n = index(doc["lattice_n"])
-    if kind is None:
-        kind = {6: "quadrilateral", 7: "quadrilateral-p7"}.get(n)
-        if kind is None:
-            raise ValueError(f"no default configuration for lattice_n={n}")
-    builders = {
-        "quadrilateral": lambda seed: standard_quadrilateral(),
-        "quadrilateral-p7": lambda seed: standard_quadrilateral(with_p7=True),
-        "quadrilateral-general-point": lambda seed: standard_quadrilateral(
-            with_general_point=True, seed=seed),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown configuration {kind!r}")
-    return builders[kind]
-
-
-def cover_from_document(doc: dict, cfg) -> covers.BidoubleData:
-    """Build BidoubleData from a parsed cover document.
-
-    Schema: {lattice_n, components: [{name, class, branch: 0|1|2|3,
-    multiplicity}], L1, L2} with L1/L2 optional (then derived by exact
-    halving).  branch 0 entries are unbranched catalogue declarations and
-    are ignored for the cover itself.  multiplicity k expands into k
-    components named name, name#2, ...
-    """
-    lat = cfg.lattice
-    if lat.n != index(doc["lattice_n"]):
-        raise ValueError("configuration does not match lattice_n")
-    comps = []
-    for raw in doc["components"]:
-        branch = index(raw["branch"])
-        if branch == 0:
-            continue
-        cls = lat.from_vector(raw["class"])
-        mult = index(raw.get("multiplicity", 1))
-        if mult < 1:
-            raise ValueError(f"component {raw['name']}: multiplicity must be >= 1")
-        for copy in range(mult):
-            name = raw["name"] if copy == 0 else f"{raw['name']}#{copy + 1}"
-            comps.append(covers.BranchComponent(
-                name, cls, branch, through_point=bool(raw.get("through_point"))))
-    comps = tuple(comps)
-    by_branch = {i: sum((c.cls for c in comps if c.branch == i), lat.zero)
-                 for i in (1, 2, 3)}
-    if "L1" in doc and "L2" in doc:
-        l1 = lat.from_vector(doc["L1"])
-        l2 = lat.from_vector(doc["L2"])
-        provenance = "given"
-    else:
-        l1 = examples.halve(by_branch[2] + by_branch[3])
-        l2 = examples.halve(by_branch[1] + by_branch[3])
-        provenance = "derived"
-    return covers.BidoubleData(lat, comps, l1, l2, l_provenance=provenance)
-
-
 def run_custom(doc: dict, seed: int = 0) -> dict:
     """Full pipeline on a cover document; computed invariants, no pins.
 
@@ -456,7 +391,7 @@ def run_custom(doc: dict, seed: int = 0) -> dict:
     """
     if not isinstance(doc, dict):
         raise ValueError("a cover document must be a JSON object")
-    cfg = _config_for(doc)(seed)
+    cfg = configuration_of(doc, seed)
     bd = cover_from_document(doc, cfg)
     pencil = None
     if "pencil" in doc:

@@ -70,6 +70,42 @@ def test_halve():
         halve(DivisorClass(3, (0,) * 6))
 
 
+def test_examples_refuse_other_configurations():
+    general = standard_quadrilateral(with_general_point=True, seed=3)
+    for cfg in (CFG7, general):
+        with pytest.raises(ValueError, match="plain 6-point"):
+            example1(cfg)
+    for build in (example2, example3):
+        for cfg in (CFG6, general):
+            with pytest.raises(ValueError, match="P7"):
+                build(cfg)
+
+
+def test_examples_read_each_shipped_document_once(monkeypatch):
+    from bidouble import examples
+
+    reads = []
+    real = examples.load_document
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(examples, "load_document", counting)
+    examples._shipped.cache_clear()
+    for _ in range(3):
+        # without a configuration, each takes the one its document names
+        assert example1() == example1(CFG6)
+        assert example2() == example2(CFG7)
+        assert example3() == example3(CFG7)
+    assert sorted(p.name for p in reads) == \
+        ["example1.json", "example2.json", "example3.json"]
+    marked = {c.name for c in example1(degenerating=True).components
+              if c.through_point}
+    assert marked == {"f1", "f2", "f3"}
+    assert not any(c.through_point for c in example1().components)
+
+
 def test_invariants_example1():
     bd = example1(CFG6)
     rep = analyse(bd, CFG6)[1]

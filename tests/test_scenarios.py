@@ -196,6 +196,33 @@ def test_cli_rejects_non_integral_input(tmp_path, capsys):
         assert err.startswith("error: bad fixture")
 
 
+def test_cli_messages_stay_on_one_line(tmp_path, capsys):
+    # a component name with a line break used to split the refusal of its
+    # multiplicity over two lines
+    doc = load_document(data_path("example2.json"))
+    doc["components"][0].update(name="S1\nS2", multiplicity=0)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["custom", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("name, command", (
+    ("example2.json", ["custom", "--format", "text"]),
+    ("nodal_sides.json", ["code", "--fixture"])), ids=("custom", "code"))
+def test_cli_unprintable_name_exits_2(name, command, tmp_path, capsys):
+    # a lone surrogate in the document's name cannot be written as UTF-8;
+    # printing the text report used to raise UnicodeEncodeError
+    path = tmp_path / name
+    path.write_text(json.dumps(dict(load_document(data_path(name)),
+                                    name="x\ud800")))
+    assert main([*command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("error: cannot write the report")
+
+
 def test_cli_custom_refuses_pencils_that_are_not_conic_bundles(tmp_path, capsys):
     # |2 f1| is not a pencil: the document is refused before any search
     path = tmp_path / "twice.json"
@@ -324,6 +351,16 @@ def test_cli_h0_beyond_any_matrix(capsys):
         assert main(["h0", *argv]) == 0
         out, err = capsys.readouterr()
         assert err == "" and out.endswith(f") = {want}\n")
+
+
+@pytest.mark.parametrize("mults", ("1,-2", "1,,2"))
+def test_cli_h0_refuses_negative_and_empty_multiplicities(mults, capsys):
+    # both used to exit 0 with an answer for other input: -2 was read as no
+    # condition, and the empty token was dropped, moving the 2 from P3 to P2
+    assert main(["h0", "--degree", "5", "--mults", mults]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert "non-negative" in err
 
 
 def test_cli_h0_multiplicity_above_degree_needs_no_matrix(capsys):
