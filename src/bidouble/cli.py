@@ -26,8 +26,13 @@ from .scenarios import (SCENARIO_NAMES, ScenarioAbort, load_document,
                         run_custom, run_scenario)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, not the usage; exits 2
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bidouble",
         description="exact verification scenarios for bidouble-cover "
                     "constructions over the plane quadrilateral")
@@ -97,7 +102,8 @@ def _custom_text(report: dict) -> str:
 def _cmd_custom(args) -> int:
     try:
         doc = load_document(args.path)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: a NUL byte in the path, or the text is not UTF-8 JSON
         print(f"error: cannot read cover document: {exc}", file=sys.stderr)
         return 2
     try:
@@ -181,7 +187,10 @@ def _cmd_code(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a bad command line (2), or -h/--help (0)
+        return exc.code
     handler = {
         "verify": _cmd_verify,
         "custom": _cmd_custom,

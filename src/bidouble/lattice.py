@@ -13,7 +13,6 @@ is no floating point and no overflow anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import add, index, mul, neg, sub
 
@@ -31,8 +30,37 @@ class LatticeMismatchError(ValueError):
     """Classes living on lattices of different rank were combined."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _Value:
+    """Immutable: construction sets the ``__slots__`` once; equality, hash,
+    repr and pickling go by them, in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._fields())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class DivisorClass(_Value):
     """The class ``degree*l - sum(mults[i-1]*e_i)`` on an n-point blowup.
 
     >>> f1 = DivisorClass(2, (0, 1, 0, 1, 1, 1))
@@ -41,14 +69,12 @@ class DivisorClass:
     (2, 0)
     """
 
-    degree: int
-    mults: tuple[int, ...]
+    __slots__ = ("degree", "mults")
 
-    def __post_init__(self):
-        # operator.index accepts exactly the integral types: 1.9 or
-        # Fraction(1, 2) raise TypeError instead of being truncated
-        object.__setattr__(self, "degree", index(self.degree))
-        object.__setattr__(self, "mults", tuple(map(index, self.mults)))
+    def __new__(cls, degree: int, mults: tuple[int, ...]):
+        # operator.index accepts exactly the integral types: a float or a
+        # rational raises TypeError instead of being truncated
+        return cls._of(index(degree), tuple(map(index, mults)))
 
     @classmethod
     def _of(cls, degree: int, mults: tuple[int, ...]) -> "DivisorClass":
@@ -57,6 +83,9 @@ class DivisorClass:
         object.__setattr__(out, "degree", degree)
         object.__setattr__(out, "mults", mults)
         return out
+
+    def _fields(self) -> tuple:  # spelled out: equality and hash are hot
+        return self.degree, self.mults
 
     @property
     def n(self) -> int:
@@ -128,15 +157,15 @@ class DivisorClass:
         return out[1:] if out.startswith("+") else out
 
 
-@dataclass(frozen=True)
-class BlowupLattice:
+class BlowupLattice(_Value):
     """Picard lattice of P^2 blown up at ``n`` distinct points."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise ValueError("number of exceptional classes must be >= 0")
+        object.__setattr__(self, "n", n)
 
     @property
     def rank(self) -> int:

@@ -38,10 +38,8 @@ or 2) and h^0 needs no matrix:
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -242,10 +240,13 @@ class PointConfiguration:
                      for e in self.negative_entries)
 
 
-def _draw_general_point(rng: random.Random, lines) -> Point:
+def _draw_general_point(seed: int, lines) -> Point:
+    import random  # only a general point needs it
+    rng = random.Random(seed)
     while True:
-        p = _integral((Fraction(rng.randint(-12, 12), rng.randint(1, 9)),
-                       Fraction(rng.randint(-12, 12), rng.randint(1, 9)), 1))
+        a1, b1 = rng.randint(-12, 12), rng.randint(1, 9)
+        a2, b2 = rng.randint(-12, 12), rng.randint(1, 9)
+        p = _integral((a1 * b2, a2 * b1, b1 * b2))  # (a1/b1 : a2/b2 : 1)
         if not any(_on_line(line, p) for line in lines):
             return p
 
@@ -270,8 +271,7 @@ def standard_quadrilateral(with_p7: bool = False,
         points.append((1, 2, 1))
         triples |= {frozenset((5, 6, 7)), frozenset((2, 4, 7))}
     if with_general_point:
-        rng = random.Random(seed)
-        points.append(_draw_general_point(rng, _LINE_COEFFS.values()))
+        points.append(_draw_general_point(seed, _LINE_COEFFS.values()))
 
     n = len(points)
     lat = BlowupLattice(n)

@@ -2,8 +2,9 @@
 
 Every input must end in exit 0, 1 or 2; a non-zero exit writes exactly one
 line to stderr; no exception escapes ``cli.main``.  The cover documents and
-code fixtures are the shipped ones, mutated.  Standard output is a strict
-UTF-8 stream, as a terminal or a pipe is.
+code fixtures are the shipped ones, mutated; the argument lists are
+arbitrary, mixed with the words the parser knows.  Standard output is a
+strict UTF-8 stream, as a terminal or a pipe is.
 """
 
 import io
@@ -169,3 +170,18 @@ def test_fuzz_code(scratch, data):
     scratch.write_text(json.dumps(doc))
     fmt = data.draw(st.sampled_from(("json", "text")))
     run(["code", "--fixture", str(scratch), "--format", fmt])
+
+
+# the words the parser knows, the shipped inputs, and anything else
+WORDS = st.sampled_from((
+    "verify", "custom", "h0", "code", "all", "example2", "codes", "json",
+    "text", "--format", "--seed", "--degree", "--mults", "--with-p7",
+    "--general-point", "--fixture", "-h", "--help", "--", "-", "-1,2",
+    str(data_path("example1.json")), str(data_path("nodal_sides.json"))))
+ARGUMENT = WORDS | st.integers(-3, 20).map(str) | TEXT
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(argv=st.lists(ARGUMENT, max_size=8))
+def test_fuzz_arguments(argv):
+    run(argv)

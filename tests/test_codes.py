@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -212,18 +213,59 @@ def test_doubly_even_matches_enumeration():
     assert seen[True, True] and seen[False, False] and seen[False, True]
 
 
-def test_import_loads_only_the_standard_library():
-    # the package has no dependencies: a fresh interpreter that imports it
-    # loads no module from outside the standard library
+def _fresh_interpreter(probe: str) -> str:
+    """Standard output of ``probe`` run by a fresh interpreter that finds
+    this package first."""
     src = str(Path(bidouble.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = ("import sys; before = set(sys.modules); import bidouble; "
-             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
-             "print(sorted(new - set(sys.stdlib_module_names) - {'bidouble'}))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env=env).stdout
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_import_loads_only_the_standard_library():
+    # the package has no dependencies: a fresh interpreter that imports it
+    # and resolves every public name loads no module from outside the
+    # standard library
+    out = _fresh_interpreter(
+        "import sys; before = set(sys.modules); import bidouble; "
+        "[getattr(bidouble, name) for name in bidouble.__all__]; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'bidouble'}))")
     assert out == "[]\n"
+
+
+def test_import_codes_loads_only_codes_and_lattice():
+    # the package resolves its public names on first use, and the lattice
+    # classes are not dataclasses: the F_2 layer loads nothing else
+    out = _fresh_interpreter(
+        "import sys; before = set(sys.modules); import bidouble.codes; "
+        "print(*sorted(set(sys.modules) - before))")
+    loaded = set(out.split())
+    assert {"bidouble", "bidouble.codes", "bidouble.lattice"} <= loaded
+    assert not loaded & {"bidouble.plane", "bidouble.covers",
+                         "bidouble.examples", "bidouble.scenarios",
+                         "dataclasses", "fractions"}
+
+
+def test_public_names_are_their_home_objects():
+    homes = {m: importlib.import_module(f"bidouble.{m}")
+             for m in ("lattice", "plane", "codes", "covers", "examples")}
+    for name in bidouble.__all__:
+        value = getattr(bidouble, name)
+        if name in homes:
+            assert value is homes[name]
+            continue
+        owners = [mod for mod in homes.values() if name in mod.__all__]
+        assert len(owners) == 1 and value is getattr(owners[0], name), name
+    assert set(bidouble.__all__) <= set(dir(bidouble))
+    star = {}
+    exec("from bidouble import *", star)
+    assert all(star[name] is getattr(bidouble, name) for name in bidouble.__all__)
+    with pytest.raises(AttributeError):
+        bidouble.no_such_name
+    with pytest.raises(ImportError):
+        exec("from bidouble import no_such_name", {})
 
 
 def test_contains_and_eq():

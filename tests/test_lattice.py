@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -230,3 +232,30 @@ def test_non_integral_entries_rejected():
     # integral types are accepted, and stored as int
     vec = DivisorClass(True, (False, 2)).to_vector()
     assert vec == [1, 0, 2] and all(type(x) is int for x in vec)
+
+
+def test_classes_are_immutable_values():
+    # the classes are hand-written __slots__ classes: pin what the frozen
+    # dataclasses they replace gave
+    d, lat = DivisorClass(2, (0, 1)), BlowupLattice(6)
+    assert repr(d) == "DivisorClass(degree=2, mults=(0, 1))"
+    assert repr(lat) == "BlowupLattice(n=6)"
+    for obj, field in ((d, "degree"), (d, "mults"), (lat, "n")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.other = 1
+        assert not hasattr(obj, "__dict__")
+    same = (d, DivisorClass._of(2, (0, 1)), DivisorClass.from_vector([2, 0, 1]),
+            copy.deepcopy(d), pickle.loads(pickle.dumps(d)))
+    assert all(x == d and hash(x) == hash(d) for x in same)
+    assert d != DivisorClass(2, (1, 0)) and d != DivisorClass(2, (0, 1, 0))
+    assert d.__eq__((2, (0, 1))) is NotImplemented and d != (2, (0, 1))
+    assert lat == BlowupLattice(6) == pickle.loads(pickle.dumps(lat))
+    assert hash(lat) == hash(BlowupLattice(6)) and lat != BlowupLattice(7)
+    assert lat.__eq__(6) is NotImplemented
+    assert len({d, *same, lat, BlowupLattice(6)}) == 2
+    with pytest.raises(ValueError):
+        BlowupLattice(-1)

@@ -208,6 +208,35 @@ def test_cli_messages_stay_on_one_line(tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("argv", (
+    ["h0", "--degree", "x", "--mults", "1"],
+    ["h0", "--degree", "3", "--mults", "-1,2"],
+    ["verify", "nope"], [], ["verify", "all", "x\ny"], ["custom", "a\x00b"]),
+    ids=("degree", "mults", "choice", "empty", "line-break", "nul"))
+def test_cli_argument_errors_exit_2_in_one_line(argv, capsys):
+    # argparse used to print its usage and the error (three lines) and
+    # raise SystemExit(2); a NUL byte in a path raised ValueError
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("error: ")
+
+
+def test_cli_custom_refuses_bytes_that_are_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "\xe9"}'.encode("latin-1"))
+    assert main(["custom", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read cover document")
+
+
+@pytest.mark.parametrize("argv", (["--help"], ["h0", "-h"]))
+def test_cli_help_returns_0(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: bidouble") and err == ""
+
+
 @pytest.mark.parametrize("name, command", (
     ("example2.json", ["custom", "--format", "text"]),
     ("nodal_sides.json", ["code", "--fixture"])), ids=("custom", "code"))
