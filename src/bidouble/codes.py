@@ -17,8 +17,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from operator import index, or_
+from typing import TYPE_CHECKING
 
-from .lattice import BlowupLattice
+if TYPE_CHECKING:
+    from .lattice import BlowupLattice
 
 __all__ = [
     "NodalInputError",
@@ -155,14 +157,46 @@ def code_of_classes(classes, lat: BlowupLattice) -> BinaryCode:
 
 
 def weights(code: BinaryCode) -> Counter:
-    """Multiset of codeword weights, by exhaustive enumeration.
+    """Multiset of codeword weights, exact, keys in ascending order.
+
+    Word m, the sum of the generators picked by the bits of m, is 1 at j
+    when <m, c_j> is odd, c_j being the column of generator bits at j, so
+    the weights depend on the multiset of columns alone.  Bit-sliced
+    (Biham 1997): each distinct column becomes a 2^dim-bit int, bit m for
+    word m, added with its multiplicity into planes of weight bits; the
+    all-ones mask is split through the planes, top plane first, and each
+    leaf's popcount counts the words of one weight.  Memory: a few
+    2^dim-bit ints per bit of the length.
 
     Raises EnumerationCapError when the dimension passes ENUMERATION_CAP.
     """
     if code.dim > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"dim {code.dim} exceeds the enumeration cap {ENUMERATION_CAP}")
-    return Counter(word.bit_count() for word in _span(code.generators))
+    columns = Counter(sum((g >> j & 1) << i for i, g in enumerate(code.generators))
+                      for j in range(code.length))
+    planes = [0] * code.length.bit_length()  # bit m of planes[p]: bit p of wt(m)
+    for column, mult in columns.items():
+        x = 0  # bit m: coordinate of word m, built a generator at a time
+        for i in range(code.dim):
+            x |= (x ^ ((1 << (1 << i)) - 1) if column >> i & 1 else x) << (1 << i)
+        for p in range(mult.bit_length()):
+            carry, q = (x if mult >> p & 1 else 0), p
+            while carry:  # ripple carry; no weight passes the top plane
+                planes[q], carry = planes[q] ^ carry, planes[q] & carry
+                q += 1
+    counts = Counter()
+
+    def split(mask, p, weight):
+        if mask and p < 0:
+            counts[weight] = mask.bit_count()
+        elif mask:
+            high = mask & planes[p]
+            split(mask ^ high, p - 1, weight)
+            split(high, p - 1, weight | 1 << p)
+
+    split((1 << (1 << code.dim)) - 1, len(planes) - 1, 0)
+    return counts
 
 
 def is_doubly_even(code: BinaryCode) -> bool:

@@ -77,7 +77,7 @@ class RelationError(ValueError):
 
 
 class IncidenceError(ValueError):
-    """The incidence pattern at the marked point is not (1,1,1)."""
+    """A branch divisor is not smooth, or the marked point is not (1,1,1)."""
 
 
 class InvariantConsistencyError(ValueError):
@@ -151,10 +151,12 @@ class BidoubleData:
 
 
 def validate(bd: BidoubleData) -> DivisorClass:
-    """Check both cover relations exactly and return the derived L_3.
+    """Check both cover relations exactly, then that each D_i is smooth,
+    and return the derived L_3.
 
-    On failure raises :class:`RelationError` listing each violated relation
-    with the offending residue class.
+    Raises :class:`RelationError` listing each violated relation with the
+    offending residue class, then :class:`IncidenceError` when two
+    components of one D_i meet (a class listed twice unless C^2 = 0).
     """
     d1, d2, d3 = (bd.branch_class(i) for i in (1, 2, 3))
     residues = []
@@ -166,6 +168,14 @@ def validate(bd: BidoubleData) -> DivisorClass:
         residues.append(("2L2 - (D1+D3)", r2))
     if residues:
         raise RelationError(residues)
+    counts = Counter((c.branch, c.cls) for c in bd.components)
+    distinct = list(counts)
+    for j, (i, a) in enumerate(distinct):
+        for k, b in distinct[j + (counts[i, a] == 1):]:
+            if k == i and a.dot(b):
+                raise IncidenceError(
+                    f"D{i} is not smooth: its components {a} and {b} "
+                    f"have intersection {a.dot(b)}")
     return bd.L1 + bd.L2 - d3
 
 

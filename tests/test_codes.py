@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -180,8 +182,64 @@ def test_enumeration_cap():
     assert big.dim == 21
     assert not is_doubly_even(big)
     # weights refuses rather than answer from a sample
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError,
+                       match="dim 21 exceeds the enumeration cap 20"):
         weights(big)
+
+
+def test_weights_with_repeated_and_zero_columns():
+    # the count reads the multiset of columns: seeded codes of dimension
+    # 11-16 whose columns repeat up to three times, with zero columns and
+    # shuffled coordinates; oracle: brute-force span
+    rng = random.Random(12)
+    dims = set()
+    for _ in range(12):
+        k = rng.randint(11, 16)
+        columns = [c for c in (rng.getrandbits(k) for _ in range(k + 4))
+                   for _ in range(rng.randint(1, 3))]
+        columns += [0] * rng.randint(1, 3)
+        rng.shuffle(columns)
+        rows = [sum((c >> i & 1) << j for j, c in enumerate(columns))
+                for i in range(k)]
+        code = BinaryCode(len(columns), rows)
+        got = weights(code)
+        assert got == Counter(w.bit_count() for w in _span(rows)), rows
+        assert list(got) == sorted(got)
+        dims.add(code.dim)
+    assert dims <= set(range(11, 17)) and len(dims) > 3
+
+
+def test_weights_of_the_full_space_and_of_de21():
+    for n in (0, 1, 5, 13, 20):
+        full = BinaryCode(n, [1 << j for j in range(n)])
+        assert weights(full) == {w: comb(n, w) for w in range(n + 1)}
+    # DE(21) has dimension 20, the cap: the even words of length 21, doubled
+    de21 = de_code(21)
+    assert de21.dim == 20
+    assert weights(de21) == {4 * j: comb(21, 2 * j) for j in range(11)}
+
+
+def test_weights_of_empty_codes_and_key_order():
+    assert weights(BinaryCode(0)) == {0: 1}
+    assert weights(BinaryCode(7)) == {0: 1}
+    # keys come out in ascending order, as dict() and the demo print them
+    assert list(weights(de_code(9))) == [0, 4, 8, 12, 16]
+    assert list(weights(BinaryCode(6, [0b111111, 0b000011]))) == [0, 2, 4, 6]
+
+
+def test_weights_memory_does_not_grow_with_length():
+    # the planes of weight bits and the masks being split are 2^18 bits
+    # (32 KiB) each; keeping all 400 column masks alive would take 12.5 MiB
+    rng = random.Random(18)
+    code = BinaryCode(400, [rng.getrandbits(400) for _ in range(18)])
+    assert code.dim == 18
+    tracemalloc.start()
+    try:
+        weights(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_doubly_even_matches_enumeration():
@@ -235,17 +293,17 @@ def test_import_loads_only_the_standard_library():
     assert out == "[]\n"
 
 
-def test_import_codes_loads_only_codes_and_lattice():
-    # the package resolves its public names on first use, and the lattice
-    # classes are not dataclasses: the F_2 layer loads nothing else
+def test_import_codes_loads_only_codes():
+    # the package resolves its public names on first use, and codes imports
+    # the lattice for annotations only: the F_2 layer loads nothing else
     out = _fresh_interpreter(
         "import sys; before = set(sys.modules); import bidouble.codes; "
         "print(*sorted(set(sys.modules) - before))")
     loaded = set(out.split())
-    assert {"bidouble", "bidouble.codes", "bidouble.lattice"} <= loaded
-    assert not loaded & {"bidouble.plane", "bidouble.covers",
-                         "bidouble.examples", "bidouble.scenarios",
-                         "dataclasses", "fractions"}
+    assert {"bidouble", "bidouble.codes"} <= loaded
+    assert not loaded & {"bidouble.lattice", "bidouble.plane",
+                         "bidouble.covers", "bidouble.examples",
+                         "bidouble.scenarios", "dataclasses", "fractions"}
 
 
 def test_public_names_are_their_home_objects():

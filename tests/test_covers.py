@@ -43,6 +43,23 @@ def test_validate_rejects_corruption():
     assert residue == 2 * CFG7.lattice.exceptional(5)
 
 
+def test_validate_compares_each_class_once(monkeypatch):
+    # smoothness compares distinct classes of one D_i pairwise and a
+    # repeated class with itself: 2,000 more members of f1 in D3 (which
+    # move L1 and L2 by 1000 f1) cost no more products than example 2's 14
+    bd = example2(CFG7)
+    f1 = next(c for c in bd.components if c.name == "f1")
+    more = replace(bd, components=bd.components + tuple(
+        replace(f1, name=f"f1#{k}") for k in range(2, 2002)),
+        L1=bd.L1 + 1000 * f1.cls, L2=bd.L2 + 1000 * f1.cls)
+    calls = []
+    real = DivisorClass.dot
+    monkeypatch.setattr(DivisorClass, "dot",
+                        lambda a, b: calls.append(b) or real(a, b))
+    assert validate(more) == validate(bd)
+    assert len(calls) == 2 * 14
+
+
 def test_validate_corruption_sweep():
     # perturbing any single component class breaks at least one relation
     for bd, cfg in ((example1(CFG6), CFG6), (example2(CFG7), CFG7),

@@ -33,3 +33,9 @@ def test_degeneration_demo_prints_the_affine_point():
     # its affine form, as it did when points had Fraction coordinates
     lines = _run(DEMOS[4]).splitlines()
     assert "general point drawn: ('4/3', '-1', '1')" in lines
+
+
+def test_codes_demo_prints_weights_in_ascending_order():
+    lines = _run(DEMOS[2]).splitlines()
+    assert "weights: {0: 1, 4: 1}  doubly even: True" in lines
+    assert "weights: {0: 1, 4: 6, 8: 1}  doubly even: True" in lines

@@ -314,13 +314,15 @@ def test_contractions_need_no_name_lookup(monkeypatch):
     from bidouble.scenarios import cover_from_document
 
     doc = load_document(data_path("example2.json"))
-    # 2000 more copies of S1 in D1 keep D2 + D3, hence L1, and move L2 by
-    # 1000 S1; each copy of S1 (b = 0, S1^2 = -2) adds two contractions.
-    # The data validates but is no surface of general type, so the P2
-    # check in analyse, which runs after the contraction count, fails.
-    s1 = next(c for c in doc["components"] if c["name"] == "S1")
-    s1["multiplicity"] = 2001
-    doc["L2"] = [a + 1000 * b for a, b in zip(doc["L2"], s1["class"])]
+    # 2000 more members of f1 in D3 move D2 + D3 and D1 + D3 by 2000 f1,
+    # hence L1 and L2 by 1000 f1.  The members meet in f1^2 = 0, so D3 stays
+    # smooth, and each has b = f1.(D1+D2) = 6 > 0, so it stays irreducible
+    # and adds no contraction; S1 and S2 (the b = 0 pairs, two contractions
+    # each) are orthogonal to f1.  The count stays example 2's 10.
+    f1 = next(c for c in doc["components"] if c["name"] == "f1")
+    f1["multiplicity"] = 2001
+    for key in ("L1", "L2"):
+        doc[key] = [a + 1000 * b for a, b in zip(doc[key], f1["class"])]
     lookups = []
     real = covers.BidoubleData.component
 
@@ -329,15 +331,34 @@ def test_contractions_need_no_name_lookup(monkeypatch):
         return real(self, name)
 
     monkeypatch.setattr(covers.BidoubleData, "component", counting)
-    with pytest.raises(covers.InvariantConsistencyError):
-        run_custom(doc)
+    assert run_custom(doc)["invariants"]["contractions"] == 10
     cfg = standard_quadrilateral(with_p7=True)
-    assert covers.contraction_count(cover_from_document(doc, cfg)) \
-        == 10 + 2 * 2000
+    assert covers.contraction_count(cover_from_document(doc, cfg)) == 10
     assert lookups == []
     # the counter does see a lookup by name
     covers.branch_preimage(example2(cfg), "S1")
     assert lookups == ["S1"]
+
+
+@pytest.mark.parametrize("name, cls, meeting", (
+    # Delta1 = l-e1-e3 misses C, S1 and S2 but meets itself in -1
+    ("Delta1", [1, 1, 0, 1, 0, 0, 0, 0], "l-e1-e3 and l-e1-e3 have intersection -1"),
+    # two members of f2 meet in 0, but each meets C in 2
+    ("f2", [2, 1, 0, 1, 0, 1, 1, 0], "have intersection 2")),
+    ids=("rigid-twice", "meets-C"))
+def test_cli_custom_refuses_branch_divisors_that_are_not_smooth(
+        name, cls, meeting, tmp_path, capsys):
+    # two copies in D1 keep D1 + D3 even; L1 and L2 are derived
+    doc = load_document(data_path("example2.json"))
+    doc["components"].append(
+        {"name": name, "class": cls, "branch": 1, "multiplicity": 2})
+    del doc["L1"], doc["L2"]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    assert main(["custom", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert "D1 is not smooth" in err and meeting in err
 
 
 @pytest.mark.parametrize("command", (["custom"], ["code", "--fixture"]),
