@@ -8,6 +8,10 @@ Subcommands:
 * ``code --fixture <file>`` -- code of a nodal-class fixture.
 
 Exit codes: 0 all checks pass, 1 a check or validation failed, 2 bad input.
+
+Each command imports its modules when it runs: ``verify`` and ``custom``
+load ``scenarios`` (which loads the rest), ``h0`` loads ``plane`` and
+``lattice``, and ``code`` loads ``codes`` and ``lattice``.
 """
 
 from __future__ import annotations
@@ -17,13 +21,9 @@ import json
 import sys
 from operator import index
 
-from .codes import (EnumerationCapError, code_of_classes, is_doubly_even,
-                    isotropy_bound, weights)
-from .covers import InvariantConsistencyError, RelationError
-from .lattice import BlowupLattice
-from .plane import FatPointSystem, h0_fat_points, standard_quadrilateral
-from .scenarios import (SCENARIO_NAMES, ScenarioAbort, load_document,
-                        run_custom, run_scenario)
+# scenarios.SCENARIO_NAMES, spelled out so that the parser needs no import
+SCENARIO_NAMES = ("example1", "example1-degenerate", "example2", "example3",
+                  "lemma-numeri", "codes", "bounds")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    from .scenarios import ScenarioAbort, run_scenario
     names = list(SCENARIO_NAMES) if args.scenario == "all" else [args.scenario]
     try:
         reports = [run_scenario(n, args.seed) for n in names]
@@ -100,6 +101,8 @@ def _custom_text(report: dict) -> str:
 
 
 def _cmd_custom(args) -> int:
+    from .covers import IncidenceError, InvariantConsistencyError, RelationError
+    from .scenarios import load_document, run_custom
     try:
         doc = load_document(args.path)
     except (OSError, ValueError, RecursionError) as exc:
@@ -111,6 +114,9 @@ def _cmd_custom(args) -> int:
     except (RelationError, InvariantConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except IncidenceError as exc:  # well-formed, but a D_i is not smooth
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed cover document: {exc}", file=sys.stderr)
         return 2
@@ -119,6 +125,7 @@ def _cmd_custom(args) -> int:
 
 
 def _cmd_h0(args) -> int:
+    from .plane import FatPointSystem, h0_fat_points, standard_quadrilateral
     try:
         mults = [int(tok) for tok in args.mults.split(",")] \
             if args.mults.strip() else []
@@ -150,8 +157,12 @@ def _cmd_h0(args) -> int:
 
 
 def _cmd_code(args) -> int:
+    from .codes import (EnumerationCapError, code_of_classes, is_doubly_even,
+                        isotropy_bound, weights)
+    from .lattice import BlowupLattice
     try:
-        doc = load_document(args.fixture)
+        with open(args.fixture, encoding="utf-8") as fh:
+            doc = json.load(fh)
         lat = BlowupLattice(index(doc["lattice_n"]))
         classes = [lat.from_vector(v) for v in doc["classes"]]
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:

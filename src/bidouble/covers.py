@@ -37,11 +37,10 @@ number of double fibres; other pencil classes are refused.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb, prod
 
-from .lattice import DivisorClass, BlowupLattice
+from .lattice import BlowupLattice, DivisorClass, Record
 from .plane import PointConfiguration, h0_class, reducible_fibres
 
 __all__ = [
@@ -84,8 +83,7 @@ class InvariantConsistencyError(ValueError):
     """Computed bicanonical summands disagree with chi + K^2_minimal."""
 
 
-@dataclass(frozen=True)
-class BranchComponent:
+class BranchComponent(Record):
     """One reduced component of a branch divisor.
 
     ``branch`` is 1, 2 or 3; ``through_point`` marks a moving component
@@ -93,36 +91,34 @@ class BranchComponent:
     set up a (1,1,1)-point degeneration).
     """
 
-    name: str
-    cls: DivisorClass
-    branch: int
-    through_point: bool = False
+    __slots__ = ("name", "cls", "branch", "through_point")
 
-    def __post_init__(self):
-        if self.branch not in (1, 2, 3):
+    def __init__(self, name: str, cls: DivisorClass, branch: int,
+                 through_point: bool = False):
+        if branch not in (1, 2, 3):
             raise ValueError("branch index must be 1, 2 or 3")
+        self._set(name, cls, branch, through_point)
 
 
-@dataclass(frozen=True)
-class BidoubleData:
+class BidoubleData(Record):
     """Branch components plus the classes L_1, L_2 of a bidouble cover."""
 
-    lattice: BlowupLattice
-    components: tuple[BranchComponent, ...]
-    L1: DivisorClass
-    L2: DivisorClass
-    l_provenance: str = "given"  # or "derived"
+    __slots__ = ("lattice", "components", "L1", "L2", "l_provenance",
+                 "__dict__")
 
-    def __post_init__(self):
-        names = [c.name for c in self.components]
+    def __init__(self, lattice: BlowupLattice,
+                 components: tuple[BranchComponent, ...], L1: DivisorClass,
+                 L2: DivisorClass, l_provenance: str = "given"):  # or "derived"
+        names = [c.name for c in components]
         if len(set(names)) != len(names):
             raise ValueError("branch components must be pairwise distinct")
-        for c in self.components:
-            if c.cls.n != self.lattice.n:
+        for c in components:
+            if c.cls.n != lattice.n:
                 raise ValueError(f"component {c.name} lives on the wrong lattice")
-        for lname, cls in (("L1", self.L1), ("L2", self.L2)):
-            if cls.n != self.lattice.n:
+        for lname, cls in (("L1", L1), ("L2", L2)):
+            if cls.n != lattice.n:
                 raise ValueError(f"{lname} lives on the wrong lattice")
+        self._set(lattice, components, L1, L2, l_provenance)
 
     def components_of(self, i: int) -> tuple[BranchComponent, ...]:
         return tuple(c for c in self.components if c.branch == i)
@@ -179,17 +175,21 @@ def validate(bd: BidoubleData) -> DivisorClass:
     return bd.L1 + bd.L2 - d3
 
 
-@dataclass(frozen=True)
-class BranchPreimage:
+class BranchPreimage(Record):
     """What the cover does over one branch component."""
 
-    name: str
-    branch_degree: int          # b = G.(D_j + D_k)
-    splits: bool                # True: two disjoint copies; False: irreducible
-    pieces: int                 # 2 if split else 1
-    self_intersection: int      # of each piece
-    genus: int                  # of each piece
-    contracted: int             # number of (-1)-curves this component contributes
+    __slots__ = ("name", "branch_degree", "splits", "pieces",
+                 "self_intersection", "genus", "contracted")
+
+    def __init__(self, name: str,
+                 branch_degree: int,      # b = G.(D_j + D_k)
+                 splits: bool,            # True: two disjoint copies, else irreducible
+                 pieces: int,             # 2 if split else 1
+                 self_intersection: int,  # of each piece
+                 genus: int,              # of each piece
+                 contracted: int):        # (-1)-curves this component contributes
+        self._set(name, branch_degree, splits, pieces, self_intersection,
+                  genus, contracted)
 
 
 def branch_preimage(bd: BidoubleData, name: str) -> BranchPreimage:
@@ -221,22 +221,20 @@ def contraction_count(bd: BidoubleData) -> int:
     return sum(_preimage(bd, c).contracted for c in bd.components)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Numerical invariants of the cover and of its minimal model."""
 
-    chi: int
-    K2_cover: int
-    pg: int
-    q: int
-    contractions: int
-    K2_minimal: int
-    double_fibres: int | None
-    bicanonical_degree: int | None
-    involution_index: int | None
+    __slots__ = ("chi", "K2_cover", "pg", "q", "contractions", "K2_minimal",
+                 "double_fibres", "bicanonical_degree", "involution_index")
+
+    def __init__(self, chi: int, K2_cover: int, pg: int, q: int,
+                 contractions: int, K2_minimal: int, double_fibres: int | None,
+                 bicanonical_degree: int | None, involution_index: int | None):
+        self._set(chi, K2_cover, pg, q, contractions, K2_minimal,
+                  double_fibres, bicanonical_degree, involution_index)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def resolve_111(bd: BidoubleData, cfg: PointConfiguration) -> BidoubleData:
@@ -328,15 +326,17 @@ def count_double_fibres(bd: BidoubleData, pencil: DivisorClass,
     return count
 
 
-@dataclass(frozen=True)
-class BicanonicalDecomposition:
+class BicanonicalDecomposition(Record):
     """Character decomposition of the bicanonical space of the cover."""
 
-    h0_invariant: int
-    h0_characters: tuple[int, int, int]
-    total: int                      # equals chi + K^2_minimal
-    degree: int | None              # 2 when the map factors through gamma_i
-    involution_index: int | None
+    __slots__ = ("h0_invariant", "h0_characters", "total", "degree",
+                 "involution_index")
+
+    def __init__(self, h0_invariant: int, h0_characters: tuple[int, int, int],
+                 total: int,               # equals chi + K^2_minimal
+                 degree: int | None,       # 2 when the map factors through gamma_i
+                 involution_index: int | None):
+        self._set(h0_invariant, h0_characters, total, degree, involution_index)
 
     def to_dict(self) -> dict:
         return {

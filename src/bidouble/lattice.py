@@ -8,7 +8,9 @@ of multiplicity m_i at the i-th centre has all entries non-negative.  The
 canonical class is (-3; -1, ..., -1), i.e. -3l + e_1 + ... + e_n.
 
 Everything here is exact: classes are tuples of Python integers, so there
-is no floating point and no overflow anywhere.
+is no floating point and no overflow anywhere.  ``Record`` is the
+``__slots__`` base of these classes and of every other record of the
+package.
 """
 
 from __future__ import annotations
@@ -30,19 +32,38 @@ class LatticeMismatchError(ValueError):
     """Classes living on lattices of different rank were combined."""
 
 
-class _Value:
-    """Immutable: construction sets the ``__slots__`` once; equality, hash,
-    repr and pickling go by them, in order."""
+class Record:
+    """Base of the package's records.  The names in ``__slots__`` are the
+    fields, in order (a trailing ``"__dict__"`` only holds the values of
+    ``cached_property`` attributes).  The constructor sets each field once
+    with ``_set``; equality, hash, repr and pickling go by the fields, and
+    ``replace`` copies a record through its constructor, checks included."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._names = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls._names)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
+    def _set(self, *values) -> None:
+        # the slots' own setters: about twice as fast as object.__setattr__
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
     def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+        return tuple(map(self.__getattribute__, self._names))
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._names, self._fields()))
+
+    def replace(self, **changes):
+        """A copy with some fields changed, validated like a new record."""
+        return type(self)(**{**self._asdict(), **changes})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -53,14 +74,14 @@ class _Value:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = map("{}={!r}".format, self.__slots__, self._fields())
+        fields = map("{}={!r}".format, self._names, self._fields())
         return f"{type(self).__name__}({', '.join(fields)})"
 
     def __reduce__(self):
         return type(self), self._fields()
 
 
-class DivisorClass(_Value):
+class DivisorClass(Record):
     """The class ``degree*l - sum(mults[i-1]*e_i)`` on an n-point blowup.
 
     >>> f1 = DivisorClass(2, (0, 1, 0, 1, 1, 1))
@@ -157,7 +178,7 @@ class DivisorClass(_Value):
         return out[1:] if out.startswith("+") else out
 
 
-class BlowupLattice(_Value):
+class BlowupLattice(Record):
     """Picard lattice of P^2 blown up at ``n`` distinct points."""
 
     __slots__ = ("n",)
@@ -165,7 +186,7 @@ class BlowupLattice(_Value):
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("number of exceptional classes must be >= 0")
-        object.__setattr__(self, "n", n)
+        self._set(n)
 
     @property
     def rank(self) -> int:

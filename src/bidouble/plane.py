@@ -38,12 +38,11 @@ or 2) and h^0 needs no matrix:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import BlowupLattice, DivisorClass
+from .lattice import BlowupLattice, DivisorClass, Record
 
 __all__ = [
     "CurveEntry",
@@ -84,8 +83,7 @@ def _on_line(line, p: Point) -> bool:
     return a * p[0] + b * p[1] + c * p[2] == 0
 
 
-@dataclass(frozen=True)
-class CurveEntry:
+class CurveEntry(Record):
     """A catalogued curve (or pencil class) on a blowup of the plane.
 
     ``kind`` is one of "exceptional", "line", "conic" (a rigid conic, such
@@ -94,10 +92,11 @@ class CurveEntry:
     a*x+b*y+c*z for catalogued plane lines.
     """
 
-    name: str
-    cls: DivisorClass
-    kind: str
-    line: tuple[int, int, int] | None = None
+    __slots__ = ("name", "cls", "kind", "line")
+
+    def __init__(self, name: str, cls: DivisorClass, kind: str,
+                 line: tuple[int, int, int] | None = None):
+        self._set(name, cls, kind, line)
 
     @property
     def self_intersection(self) -> int:
@@ -123,8 +122,7 @@ _PENCIL_BASE = {
 }
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(Record):
     """Coprime integer coordinates for the blown-up points plus the curve
     catalogue.
 
@@ -135,15 +133,16 @@ class PointConfiguration:
     conic.
     """
 
-    points: tuple[Point, ...]
-    collinear_triples: frozenset[frozenset[int]]
-    lattice: BlowupLattice
-    entries: tuple[CurveEntry, ...]
-    has_p7: bool = False
-    has_general_point: bool = False
-    seed: int | None = None
+    __slots__ = ("points", "collinear_triples", "lattice", "entries", "has_p7",
+                 "has_general_point", "seed", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, points: tuple[Point, ...],
+                 collinear_triples: frozenset[frozenset[int]],
+                 lattice: BlowupLattice, entries: tuple[CurveEntry, ...],
+                 has_p7: bool = False, has_general_point: bool = False,
+                 seed: int | None = None):
+        self._set(points, collinear_triples, lattice, entries, has_p7,
+                  has_general_point, seed)
         if len(self.points) != self.lattice.n:
             raise ValueError("one blown-up point per exceptional class required")
         if self.lattice.n > 7:
@@ -402,21 +401,21 @@ def interpolation_dimension(points, degree: int, assignments) -> int:
     return len(monos) - rank_rational(rows)
 
 
-@dataclass(frozen=True)
-class FatPointSystem:
+class FatPointSystem(Record):
     """Plane curves of fixed degree with assigned point multiplicities."""
 
-    degree: int
-    assignments: tuple[tuple[int, int], ...]  # (0-based point index, mult>=1)
+    __slots__ = ("degree", "assignments")
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, degree: int,
+                 assignments: tuple[tuple[int, int], ...]):  # (0-based point, mult>=1)
+        if degree < 0:
             raise ValueError("degree must be >= 0")
-        idxs = [i for i, _ in self.assignments]
+        idxs = [i for i, _ in assignments]
         if len(set(idxs)) != len(idxs):
             raise ValueError("duplicate point in assignments")
-        if any(m < 1 for _, m in self.assignments):
+        if any(m < 1 for _, m in assignments):
             raise ValueError("multiplicities must be >= 1")
+        self._set(degree, assignments)
 
     @property
     def conditions(self) -> int:

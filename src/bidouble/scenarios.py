@@ -12,18 +12,21 @@ from the shipped cover documents ``data/example{1,2,3}.json``.
 ``run_custom`` runs the same reader and the same ``covers.analyse`` on a
 user-supplied cover document without pinned expectations and reports the
 computed invariants only.
+
+The CLI imports this module for ``verify`` and ``custom`` only.  Its
+records, like every record of the package, are ``__slots__`` classes on
+``lattice.Record``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import codes, covers, examples
 from .examples import (configuration_of, cover_from_document, data_path,
                        load_document)
-from .lattice import (BlowupLattice, DivisorClass, arithmetic_genus,
+from .lattice import (BlowupLattice, DivisorClass, Record, arithmetic_genus,
                       castelnuovo_bound, riemann_roch_chi)
 from .plane import h0_class, standard_quadrilateral
 
@@ -59,12 +62,11 @@ def _jsonify(value):
     raise TypeError(f"cannot serialize {value!r}")
 
 
-@dataclass(frozen=True)
-class Check:
-    id: str
-    anchor: str
-    expected: object
-    computed: object
+class Check(Record):
+    __slots__ = ("id", "anchor", "expected", "computed", "__dict__")
+
+    def __init__(self, id: str, anchor: str, expected, computed):
+        self._set(id, anchor, expected, computed)
 
     @cached_property
     def passed(self) -> bool:
@@ -80,12 +82,16 @@ class Check:
         }
 
 
-@dataclass
-class ScenarioReport:
-    scenario: str
-    seed: int
-    checks: list[Check] = field(default_factory=list)
-    decomposition_depth: int = DECOMPOSITION_DEPTH
+class ScenarioReport(Record):
+    __slots__ = ("scenario", "seed", "checks", "decomposition_depth")
+    # the one mutable record: unhashable, and its fields can be reassigned
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, scenario: str, seed: int, checks: list[Check] | None = None,
+                 decomposition_depth: int = DECOMPOSITION_DEPTH):
+        self._set(scenario, seed, [] if checks is None else checks,
+                  decomposition_depth)
 
     def add(self, id: str, anchor: str, expected, computed) -> None:
         self.checks.append(Check(id, anchor, expected, computed))

@@ -6,7 +6,6 @@ criterion.
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from bidouble.codes import (code_of_classes, de_code, is_doubly_even,
@@ -202,8 +201,8 @@ def _permuted(bd, perm):
     l3 = validate(bd)
     ls = {1: bd.L1, 2: bd.L2, 3: l3}
     inverse = {perm[j]: j + 1 for j in range(3)}
-    comps = tuple(replace(c, branch=inverse[c.branch]) for c in bd.components)
-    return replace(bd, components=comps, L1=ls[perm[0]], L2=ls[perm[1]])
+    comps = tuple(c.replace(branch=inverse[c.branch]) for c in bd.components)
+    return bd.replace(components=comps, L1=ls[perm[0]], L2=ls[perm[1]])
 
 
 def test_criterion_9_p2_consistency():

@@ -306,6 +306,35 @@ def test_import_codes_loads_only_codes():
                          "bidouble.scenarios", "dataclasses", "fractions"}
 
 
+def _modules_loaded_by(statement: str) -> set[str]:
+    """Modules that a fresh interpreter loads to run ``statement``, with the
+    CLI's standard output swallowed."""
+    return set(_fresh_interpreter(
+        "import io, sys; before = set(sys.modules); out = sys.stdout; "
+        f"sys.stdout = io.StringIO(); {statement}; sys.stdout = out; "
+        "print(*sorted(set(sys.modules) - before))").split())
+
+
+@pytest.mark.parametrize("statement, modules", (
+    ("import bidouble.cli", {"cli"}),
+    ("from bidouble.cli import main; assert main(['code', '--fixture', "
+     f"{str(data_path('nodal_sides.json'))!r}]) == 0", {"cli", "codes", "lattice"}),
+    ("from bidouble.cli import main; assert main(['h0', '--degree', '5', "
+     "'--mults', '1,2,1,2,2,2,1', '--with-p7']) == 0", {"cli", "lattice", "plane"}),
+), ids=("import", "code", "h0"))
+def test_cli_loads_only_the_modules_of_its_command(statement, modules):
+    loaded = _modules_loaded_by(statement)
+    assert {m for m in loaded if m.startswith("bidouble.")} == \
+        {f"bidouble.{m}" for m in modules}
+
+
+def test_cli_verify_loads_no_dataclasses():
+    loaded = _modules_loaded_by(
+        "from bidouble.cli import main; assert main(['verify', 'all']) == 0")
+    assert "bidouble.scenarios" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions"}
+
+
 def test_public_names_are_their_home_objects():
     homes = {m: importlib.import_module(f"bidouble.{m}")
              for m in ("lattice", "plane", "codes", "covers", "examples")}

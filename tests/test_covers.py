@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -35,7 +34,7 @@ def test_validate_example2():
 
 def test_validate_rejects_corruption():
     bd = example2(CFG7)
-    wrong = replace(bd, L1=bd.L1 + CFG7.lattice.exceptional(5))
+    wrong = bd.replace(L1=bd.L1 + CFG7.lattice.exceptional(5))
     with pytest.raises(RelationError) as err:
         validate(wrong)
     (name, residue), = err.value.residues
@@ -49,8 +48,8 @@ def test_validate_compares_each_class_once(monkeypatch):
     # move L1 and L2 by 1000 f1) cost no more products than example 2's 14
     bd = example2(CFG7)
     f1 = next(c for c in bd.components if c.name == "f1")
-    more = replace(bd, components=bd.components + tuple(
-        replace(f1, name=f"f1#{k}") for k in range(2, 2002)),
+    more = bd.replace(components=bd.components + tuple(
+        f1.replace(name=f"f1#{k}") for k in range(2, 2002)),
         L1=bd.L1 + 1000 * f1.cls, L2=bd.L2 + 1000 * f1.cls)
     calls = []
     real = DivisorClass.dot
@@ -67,9 +66,9 @@ def test_validate_corruption_sweep():
         for idx, comp in enumerate(bd.components):
             e1 = cfg.lattice.exceptional(1)
             comps = list(bd.components)
-            comps[idx] = replace(comp, cls=comp.cls + e1)
+            comps[idx] = comp.replace(cls=comp.cls + e1)
             with pytest.raises(RelationError):
-                validate(replace(bd, components=tuple(comps)))
+                validate(bd.replace(components=tuple(comps)))
 
 
 def test_example3_derived_classes():
@@ -217,10 +216,10 @@ def test_resolve_111_incidence_errors():
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
     # only two branch divisors meet the point
     bd = example1(CFG6)
-    comps = tuple(replace(c, through_point=c.name in ("f2", "f3"))
+    comps = tuple(c.replace(through_point=c.name in ("f2", "f3"))
                   for c in bd.components)
     with pytest.raises(IncidenceError):
-        resolve_111(replace(bd, components=comps), cfg)
+        resolve_111(bd.replace(components=comps), cfg)
     # no general point in the configuration
     with pytest.raises(IncidenceError):
         resolve_111(example1(CFG6, degenerating=True), CFG6)
@@ -318,7 +317,7 @@ def test_count_double_fibres_counts_name_choices():
     # and S2 + 2 e3 + S3 add one each
     bd = example1(CFG6)
     e1 = CFG6.lattice.exceptional(1)
-    twice = replace(bd, components=bd.components + (
+    twice = bd.replace(components=bd.components + (
         BranchComponent("e1", e1, 2), BranchComponent("e1'", e1, 2)))
     assert count_double_fibres(twice, CFG6.cls("f1"), CFG6) == 7
 
@@ -355,7 +354,7 @@ def test_analyse_report():
     assert rep.K2_minimal == rep.K2_cover + rep.contractions
     assert rep.q == rep.pg + 1 - rep.chi >= 0
     # without a pencil nothing else changes and no fibres are counted
-    assert analyse(bd, CFG7) == (l3, replace(rep, double_fibres=None), bic)
+    assert analyse(bd, CFG7) == (l3, rep.replace(double_fibres=None), bic)
 
 
 def test_branch_preimage_genus_nonnegative():

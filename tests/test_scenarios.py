@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -358,7 +360,8 @@ def test_cli_custom_refuses_branch_divisors_that_are_not_smooth(
     assert main(["custom", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1, err
-    assert "D1 is not smooth" in err and meeting in err
+    assert err.startswith("error: D1 is not smooth") and meeting in err
+    assert "malformed" not in err  # the document itself is well-formed
 
 
 @pytest.mark.parametrize("command", (["custom"], ["code", "--fixture"]),
@@ -492,7 +495,7 @@ def test_cli_code(capsys, tmp_path):
 
 
 def test_cli_code_builds_the_code_once(monkeypatch, capsys):
-    from bidouble import cli, codes
+    from bidouble import codes
 
     build = codes.code_of_classes
     calls = []
@@ -501,8 +504,8 @@ def test_cli_code_builds_the_code_once(monkeypatch, capsys):
         calls.append(args)
         return build(*args, **kwargs)
 
+    # the command imports codes' names when it runs, so one patch serves
     monkeypatch.setattr(codes, "code_of_classes", counting)
-    monkeypatch.setattr(cli, "code_of_classes", counting)
     assert main(["code", "--fixture",
                  str(data_path("nodal10_rank14.json"))]) == 0
     assert len(calls) == 1
@@ -516,3 +519,130 @@ def test_cli_code_past_enumeration_cap(monkeypatch, capsys):
     assert main(["code", "--fixture", str(data_path("nodal_sides.json"))]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and "cap" in err
+
+
+# the exit code and the SHA-256 of the standard output of each command:
+# reports stay byte-identical across refactors
+_GOLDEN = {
+    "verify-text": (["verify", "all", "--seed", "5"], 0,
+                    "c9f38cc5e544babdffd7013acb6c6df02079c1a55e94390feb9654a951a6560e"),
+    "verify-json": (["verify", "all", "--seed", "5", "--format", "json"], 0,
+                    "40be5dc2f7918547cff4e52c800a62672d3a6d4a8483f2b2538a47f5c627b955"),
+    "custom1-text": (["custom", "example1.json", "--format", "text"], 0,
+                     "759e3ad0fe63dddec1d0d30025837dab602ca08354d881bbe5f9ecb58df24433"),
+    "custom1-json": (["custom", "example1.json", "--format", "json"], 0,
+                     "74a7eafb5df98439c2233af75bb376d66cdbd0879b309c7a9cd8fc9f13a537a0"),
+    "custom2-text": (["custom", "example2.json", "--format", "text"], 0,
+                     "189a69d256dab379b3090dc82013514129532ecefaf87d41d8b59d0889d6373a"),
+    "custom2-json": (["custom", "example2.json", "--format", "json"], 0,
+                     "55773e61d90dcb08a75873f048b7aad7900b525b926179b537d6ade5bdbc54d7"),
+    "custom3-text": (["custom", "example3.json", "--format", "text"], 0,
+                     "ecd328b5b5251ebf036a03f82eb82131392c3a574d18bcc6f4083aafbedc7d6e"),
+    "custom3-json": (["custom", "example3.json", "--format", "json"], 0,
+                     "4d9a8b4d987bd1c8289d970a298889edb0d94c7974096884ade5843d018751a4"),
+    "h0-readme": (["h0", "--degree", "5", "--mults", "1,2,1,2,2,2,1",
+                   "--with-p7"], 0,
+                  "dfa8e096ad63e11f8b548dd5f05c25ad6fcc345b0c8dc191aedb354e1cd61053"),
+    "code-nodal10": (["code", "--fixture", "nodal10_rank14.json"], 0,
+                     "4f969593878a4769e6711b51e7060f63ab0d6e501c3c8f8f2d83d1622af46665"),
+    "code-sides": (["code", "--fixture", "nodal_sides.json"], 0,
+                   "030d0bc7583e0b7906e3c826bb0a668b2f4ba46ae556660a22a31974d66f846a"),
+}
+
+
+@pytest.mark.parametrize("case", _GOLDEN)
+def test_cli_output_bytes_are_pinned(case, capsys):
+    argv, code, digest = _GOLDEN[case]
+    argv = [str(data_path(a)) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_cli_parser_names_every_scenario():
+    from bidouble import cli
+
+    assert cli.SCENARIO_NAMES == SCENARIO_NAMES
+
+
+def _records():
+    """One instance of each of the ten records, taken from a real run."""
+    from bidouble import covers, examples, plane, scenarios
+
+    cfg = standard_quadrilateral(with_p7=True)
+    bd = examples.example2(cfg)
+    _, inv, bic = covers.analyse(bd, cfg, cfg.cls("f1"))
+    report = scenarios.ScenarioReport("bounds", 3)
+    report.add("id", "anchor", (1, 2), (1, 2))
+    return {"CurveEntry": cfg.entry("S1"), "PointConfiguration": cfg,
+            "FatPointSystem": plane.FatPointSystem(5, ((0, 1), (3, 2))),
+            "BranchComponent": bd.component("f1"), "BidoubleData": bd,
+            "BranchPreimage": covers.branch_preimage(bd, "S1"),
+            "InvariantReport": inv, "BicanonicalDecomposition": bic,
+            "Check": report.checks[0], "ScenarioReport": report}
+
+
+@pytest.mark.parametrize("name", ("CurveEntry", "PointConfiguration",
+                                  "FatPointSystem", "BranchComponent",
+                                  "BidoubleData", "BranchPreimage",
+                                  "InvariantReport", "BicanonicalDecomposition",
+                                  "Check", "ScenarioReport"))
+def test_records_keep_their_dataclass_behaviour(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    fields = record._asdict()
+    first = next(iter(fields))
+    assert repr(record).startswith(f"{name}({first}={fields[first]!r}, ")
+    # a copy through the constructor, by keyword, by pickle or by replace
+    copies = (type(record)(**fields), pickle.loads(pickle.dumps(record)),
+              record.replace())
+    assert all(c == record and c is not record for c in copies)
+    assert record.__eq__(tuple(fields.values())) is NotImplemented
+    if name == "ScenarioReport":  # the one mutable record, as before
+        record.seed = 4
+        assert record.seed == 4 and record != copies[0]
+        with pytest.raises(TypeError):
+            hash(record)
+        return
+    assert all(hash(c) == hash(record) for c in copies)
+    with pytest.raises(AttributeError):
+        setattr(record, first, None)
+    with pytest.raises(AttributeError):
+        delattr(record, first)
+    with pytest.raises(AttributeError):
+        record.other = 1
+
+
+def test_records_cache_out_of_their_fields():
+    records = _records()
+    cfg, bd = records["PointConfiguration"], records["BidoubleData"]
+    check = records["Check"]
+    fresh = [r.replace() for r in (cfg, bd, check)]
+    assert cfg.negative_entries is cfg.negative_entries
+    assert bd.branch_total is bd.branch_total
+    assert bd._branch_classes is bd._branch_classes
+    assert check.passed is True
+    # a cached value is no field: equality, hash and repr ignore it
+    for record, copy in zip((cfg, bd, check), fresh):
+        assert "__dict__" not in record._asdict() and record.__dict__
+        assert copy.__dict__ == {} and copy == record
+        assert hash(copy) == hash(record) and repr(copy) == repr(record)
+
+
+def test_record_replace_runs_the_checks_again():
+    records = _records()
+    bd, comp = records["BidoubleData"], records["BranchComponent"]
+    with pytest.raises(ValueError, match="branch index"):
+        comp.replace(branch=4)
+    with pytest.raises(ValueError, match="distinct"):
+        bd.replace(components=bd.components + (comp,))
+    with pytest.raises(ValueError, match="degree"):
+        records["FatPointSystem"].replace(degree=-1)
+    with pytest.raises(ValueError, match="collinear"):
+        records["PointConfiguration"].replace(collinear_triples=frozenset())
+    with pytest.raises(TypeError):
+        comp.replace(colour="red")
+    assert list(records["InvariantReport"].to_dict()) == [
+        "chi", "K2_cover", "pg", "q", "contractions", "K2_minimal",
+        "double_fibres", "bicanonical_degree", "involution_index"]
