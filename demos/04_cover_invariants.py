@@ -3,7 +3,8 @@
 The branch data lives on the plane blown up at the six quadrilateral
 points and at the diagonal point P7.  Validation checks the two cover
 relations exactly; then every invariant of the construction falls out of
-integer arithmetic plus exact interpolation.
+integer arithmetic: lattice arithmetic on the negative curves of the
+blowup, and bracket determinants of the points for incidence.
 """
 
 from bidouble import analyse, branch_preimage, standard_quadrilateral

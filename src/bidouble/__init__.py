@@ -1,5 +1,5 @@
-"""Exact-arithmetic toolkit for divisor classes on plane blowups, fat-point
-interpolation, binary codes of nodal curves and bidouble-cover invariants.
+"""Exact-arithmetic toolkit for divisor classes on plane blowups, h^0 of
+fat-point systems, binary codes of nodal curves and bidouble-cover invariants.
 Each public name loads its home module on first use (PEP 562)."""
 
 from importlib import import_module
@@ -7,9 +7,8 @@ from importlib import import_module
 _EXPORTS = {  # home module -> the public names it gives the package
     "lattice": """BlowupLattice DivisorClass LatticeMismatchError
         arithmetic_genus castelnuovo_bound riemann_roch_chi""",
-    "plane": """CurveEntry FatPointSystem PointConfiguration
-        effective_decompositions h0_class h0_fat_points interpolation_dimension
-        reducible_fibres standard_quadrilateral""",
+    "plane": """CurveEntry FatPointSystem PointConfiguration h0_class
+        h0_fat_points reducible_fibres standard_quadrilateral""",
     "codes": """BinaryCode EnumerationCapError NodalInputError code_of_classes
         de_code is_doubly_even isotropy_bound isotropy_bound_holds weights""",
     "covers": """BicanonicalDecomposition BidoubleData BranchComponent

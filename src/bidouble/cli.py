@@ -10,8 +10,9 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 a check or validation failed, 2 bad input.
 
 Each command imports its modules when it runs: ``verify`` and ``custom``
-load ``scenarios`` (which loads the rest), ``h0`` loads ``plane`` and
-``lattice``, and ``code`` loads ``codes`` and ``lattice``.
+load ``scenarios`` (which loads the rest, ``codes`` only for the ``codes``
+scenario), ``h0`` loads ``plane`` and ``lattice``, and ``code`` loads
+``codes`` and ``lattice``.
 """
 
 from __future__ import annotations

@@ -12,34 +12,27 @@ The module also catalogues the named curves living on the blowups (sides
 S1..S4, diagonals, exceptional classes, the three conic pencils).  The
 points are in almost general position -- distinct, no four on a line, not
 all seven on a conic -- so each blowup is a weak del Pezzo surface (degree 3
-or 2) and h^0 needs no matrix:
+or 2) and every answer is lattice arithmetic on its negative curves:
 
 * ``PointConfiguration.negative_entries`` -- every (-1)- and (-2)-curve,
-  derived once per configuration on first use;
+  derived once per configuration on first use; incidence (three points on
+  a line, six on a conic) is decided by integer 3x3 determinants;
 * ``h0_class`` -- h^0 of a divisor class: negative curves meeting the class
   negatively are split off as fixed parts, many copies at a time, and the
   nef residue has h^0 = chi by Riemann-Roch and Kawamata-Viehweg;
 * ``h0_fat_points`` -- the dimension of the degree-d forms with prescribed
   multiplicities at the configuration's points: ``h0_class`` of (d; m_i);
-* ``interpolation_dimension`` -- the same dimension at arbitrary rational
-  points, by exact rank of the integer interpolation matrix (rank mod
-  2^61 - 1 when full, fraction-free Bareiss otherwise); it decides which
-  six points lie on a conic and cross-checks ``h0_class`` in the tests;
 * ``reducible_fibres`` -- the reducible members of a conic bundle |F|
   (F^2 = 0, K.F = -2, F nef), read off the negative curves orthogonal to F
   with no search: each connected set of them supports one member, whose
-  coefficients are solved exactly and checked by re-summing;
-* ``effective_decompositions`` -- a brute-force oracle listing every way to
-  write a class as a non-negative combination of catalogued classes; it is
-  complete only relative to the catalogue and serves as the tests'
-  reference for ``reducible_fibres``.
+  coefficients are solved exactly and checked by re-summing.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .lattice import BlowupLattice, DivisorClass, Record
@@ -50,22 +43,12 @@ __all__ = [
     "FatPointSystem",
     "standard_quadrilateral",
     "collinear",
-    "interpolation_dimension",
     "h0_fat_points",
     "h0_class",
     "reducible_fibres",
-    "effective_decompositions",
 ]
 
 Point = tuple[int, int, int]
-
-
-def _integral(p) -> Point:
-    """The point ``p`` (rational homogeneous coordinates) as coprime integers."""
-    scale = lcm(*(c.denominator for c in p))
-    coords = [c.numerator * (scale // c.denominator) for c in p]
-    g = gcd(*coords) or 1
-    return tuple(c // g for c in coords)
 
 
 def det3(p: Point, q: Point, r: Point) -> int:
@@ -76,6 +59,15 @@ def det3(p: Point, q: Point, r: Point) -> int:
 
 def collinear(p: Point, q: Point, r: Point) -> bool:
     return det3(p, q, r) == 0
+
+
+def _on_a_conic(p1, p2, p3, p4, p5, p6) -> bool:
+    """Whether six points lie on one conic, by the bracket identity
+    [123][145][246][356] = [124][135][236][456] (Sturmfels, "Algorithms in
+    Invariant Theory", chapter 3): the difference of the two products is
+    the determinant of the six points' conic monomials, up to sign."""
+    return (det3(p1, p2, p3) * det3(p1, p4, p5) * det3(p2, p4, p6) * det3(p3, p5, p6)
+            == det3(p1, p2, p4) * det3(p1, p3, p5) * det3(p2, p3, p6) * det3(p4, p5, p6))
 
 
 def _on_line(line, p: Point) -> bool:
@@ -159,13 +151,14 @@ class PointConfiguration(Record):
         # almost general position: two triples sharing two points put four
         # points on one line (as do two coinciding points, once there are
         # four); seven points on a conic through a collinear triple would
-        # put the other four on a line
+        # put the other four on a line.  With no three collinear, five of
+        # the points fix one conic, which the other two must both lie on
         for a, b in itertools.combinations(self.collinear_triples, 2):
             if len(a & b) == 2:
                 raise ValueError(f"points {sorted(a | b)} lie on one line")
-        if len(self.points) == 7 and not self.collinear_triples and \
-                interpolation_dimension(self.points, 2,
-                                        [(i, 1) for i in range(7)]) > 0:
+        p = self.points
+        if len(p) == 7 and not self.collinear_triples and \
+                _on_a_conic(*p[:6]) and _on_a_conic(*p[:5], p[6]):
             raise ValueError("the seven points lie on a conic")
 
     def point(self, i: int) -> Point:
@@ -208,10 +201,8 @@ class PointConfiguration(Record):
                 2 if i == double else int(i in points) for i in range(1, n + 1)))
 
         def on_a_conic(six):
-            if any(t <= six for t in self.collinear_triples):
-                return False
-            return interpolation_dimension(
-                self.points, 2, [(i - 1, 1) for i in sorted(six)]) > 0
+            return not any(t <= six for t in self.collinear_triples) and \
+                _on_a_conic(*(self.point(i) for i in sorted(six)))
 
         everything = range(1, n + 1)
         minus_two = [plane_class(1, t)
@@ -245,7 +236,9 @@ def _draw_general_point(seed: int, lines) -> Point:
     while True:
         a1, b1 = rng.randint(-12, 12), rng.randint(1, 9)
         a2, b2 = rng.randint(-12, 12), rng.randint(1, 9)
-        p = _integral((a1 * b2, a2 * b1, b1 * b2))  # (a1/b1 : a2/b2 : 1)
+        p = (a1 * b2, a2 * b1, b1 * b2)  # (a1/b1 : a2/b2 : 1)
+        g = gcd(*p)
+        p = tuple(c // g for c in p)
         if not any(_on_line(line, p) for line in lines):
             return p
 
@@ -300,105 +293,11 @@ def standard_quadrilateral(with_p7: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# exact interpolation and h^0
+# h^0
 
-
-def _monomials(degree: int) -> list[tuple[int, int, int]]:
-    return [(a, b, degree - a - b)
-            for a in range(degree, -1, -1)
-            for b in range(degree - a, -1, -1)]
-
-
-_PRIME = 2**61 - 1
 
 # steps of fixed-part splitting between two conic-bundle tests in h0_class
 _SCREEN = 64
-
-
-def rank_rational(rows) -> int:
-    """Exact rank over Q of an integer matrix, given as a list of rows.
-
-    The rank mod the prime 2^61 - 1 never exceeds the rank over Q, so when
-    it reaches min(rows, cols) it is certified and returned.  Otherwise the
-    rank is computed over Z by fraction-free Bareiss elimination, in which
-    every division is exact.  ``rows`` is left unchanged.
-
-    >>> rank_rational([[2**61 - 1, 0], [0, 1]])
-    2
-    """
-    if not rows or not rows[0]:
-        return 0
-
-    def eliminate(rest, combine):
-        # column by column; the rows still to pivot keep only the columns
-        # right of the current one.  The smallest pivot keeps Bareiss's
-        # minors small (rows of points with small coordinates go first).
-        rank, prev = 0, 1
-        while rest and rest[0]:
-            nonzero = [i for i, r in enumerate(rest) if r[0]]
-            if not nonzero:
-                rest = [r[1:] for r in rest]
-                continue
-            pivot = rest.pop(min(nonzero, key=lambda i: abs(rest[i][0])))
-            rest = combine(pivot, rest, prev)
-            prev = pivot[0]
-            rank += 1
-        return rank
-
-    def mod_p(pivot, rest, prev):
-        inv = pow(pivot[0], -1, _PRIME)
-        tail = pivot[1:]
-        return [[(x - f * y) % _PRIME for x, y in zip(r[1:], tail)]
-                if (f := r[0] * inv % _PRIME) else r[1:] for r in rest]
-
-    def bareiss(pivot, rest, prev):
-        # each entry stays a minor of the matrix, so // divides exactly
-        p, tail = pivot[0], pivot[1:]
-        return [[(p * x - a * y) // prev for x, y in zip(r[1:], tail)]
-                if (a := r[0]) else [p * x // prev for x in r[1:]]
-                for r in rest]
-
-    rank = eliminate([[v % _PRIME for v in r] for r in rows], mod_p)
-    if rank == min(len(rows), len(rows[0])):
-        return rank
-    # dividing each row by its content keeps the rank and shrinks the minors
-    return eliminate([[v // (gcd(*r) or 1) for v in r] for r in rows], bareiss)
-
-
-def interpolation_dimension(points, degree: int, assignments) -> int:
-    """h^0 of degree-``degree`` forms with multiplicity m_j at points[j].
-
-    ``assignments`` is an iterable of (point index, multiplicity>=1); the
-    multiplicity-m condition is imposed through the m(m+1)/2 partial
-    derivatives of order m-1 (equivalent to all lower orders by Euler's
-    relation).  Those conditions are homogeneous, so each point is first
-    scaled to coprime integer coordinates and the matrix is integral.  A
-    requested multiplicity above the degree forces h^0 = 0.
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    assignments = list(assignments)
-    if any(m > degree for _, m in assignments):
-        return 0
-    monos = _monomials(degree)
-    # falling[a][e] = e (e-1) ... (e-a+1), the factor d^a/dx^a puts on x^e
-    top = max((m for _, m in assignments), default=1)
-    falling = [[1] * (degree + 1)]
-    for a in range(1, top):
-        falling.append([f * (e - a + 1) for e, f in enumerate(falling[-1])])
-    rows = []
-    for idx, m in assignments:
-        if m < 1:
-            raise ValueError("multiplicities must be >= 1")
-        powers = [[c ** k for k in range(degree + 1)]
-                  for c in _integral(points[idx])]
-        for alpha in _monomials(m - 1):
-            # fx[e]: d^alpha_0/dx^alpha_0 of x^e at the point, and so on
-            fx, fy, fz = [[f * pw[e - a] if e >= a else 0
-                           for e, f in enumerate(falling[a])]
-                          for a, pw in zip(alpha, powers)]
-            rows.append([fx[a] * fy[b] * fz[c] for a, b, c in monos])
-    return len(monos) - rank_rational(rows)
 
 
 class FatPointSystem(Record):
@@ -589,81 +488,3 @@ def reducible_fibres(cfg: PointConfiguration, F: DivisorClass):
                 f"to {F} do not sum to it")
         members.append(tuple(zip(entries, a)))
     return members
-
-
-# ---------------------------------------------------------------------------
-# effective decompositions
-
-
-def _bounded_decompositions(pos_atoms, exc_atoms, target: DivisorClass,
-                            cap: int):
-    """All ways to write ``target`` as a non-negative combination of atoms.
-
-    ``pos_atoms`` are (name, class) pairs of positive degree, ``exc_atoms``
-    maps a 0-based point index to the name of the pure exceptional class
-    available for it.  ``cap`` bounds the number of positive-degree
-    components counted with multiplicity.  Returns the sorted list of
-    decompositions.
-    """
-    results = []
-
-    def finish(rem: DivisorClass, chosen):
-        if rem.degree != 0 or any(m > 0 for m in rem.mults):
-            return
-        tail = []
-        for j, m in enumerate(rem.mults):
-            if m < 0:
-                name = exc_atoms.get(j)
-                if name is None:
-                    return
-                tail.append((name, -m))
-        results.append(tuple(sorted(chosen + tail)))
-
-    def search(i: int, rem: DivisorClass, used: int, chosen):
-        if rem.degree == 0:
-            finish(rem, chosen)
-            return
-        if i == len(pos_atoms):
-            return
-        name, cls = pos_atoms[i]
-        top = min(rem.degree // cls.degree, cap - used)
-        for c in range(top + 1):
-            search(i + 1, rem - c * cls, used + c,
-                   chosen + [(name, c)] if c else chosen)
-
-    search(0, target, 0, [])
-    return sorted(set(results))
-
-
-def effective_decompositions(cfg: PointConfiguration, d: DivisorClass):
-    """Every way to write ``d`` as a non-negative sum of catalogued classes.
-
-    A brute-force search over ``cfg.entries``, so it is complete only
-    relative to the catalogue: a curve that is not catalogued (such as the
-    line l-e3-e7 on the P7 blowup) never appears.  ``reducible_fibres``
-    lists the members of a conic bundle over every negative curve instead;
-    this oracle is the reference the tests compare it with.
-
-    Returns a sorted list of multisets, each a tuple of (name, coefficient)
-    pairs.  At most ``d.degree`` positive-degree components are used, which
-    is exhaustive since every positive-degree atom has degree >= 1.
-    """
-    if d.n != cfg.lattice.n:
-        raise ValueError("class does not live on the configuration's lattice")
-    pos = [(e.name, e.cls) for e in cfg.entries if e.cls.degree >= 1]
-    pos.sort(key=lambda t: (-t[1].degree, t[0]))
-    exc = {}
-    for e in cfg.entries:
-        if e.kind == "exceptional":
-            # e_i has m_i = -1 at exactly one position
-            j = next(k for k, m in enumerate(e.cls.mults) if m == -1)
-            exc[j] = e.name
-    return _bounded_decompositions(pos, exc, d, max(d.degree, 0))
-
-
-def sum_of_decomposition(cfg: PointConfiguration, decomposition) -> DivisorClass:
-    """Re-sum a decomposition; used as the exactness oracle in tests."""
-    total = cfg.lattice.zero
-    for name, coeff in decomposition:
-        total = total + coeff * cfg.cls(name)
-    return total

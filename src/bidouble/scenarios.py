@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from . import codes, covers, examples
+from . import covers, examples
 from .examples import (configuration_of, cover_from_document, data_path,
                        load_document)
 from .lattice import (BlowupLattice, DivisorClass, Record, arithmetic_genus,
@@ -83,15 +83,13 @@ class Check(Record):
 
 
 class ScenarioReport(Record):
-    __slots__ = ("scenario", "seed", "checks", "decomposition_depth")
+    __slots__ = ("scenario", "seed", "checks")
     # the one mutable record: unhashable, and its fields can be reassigned
     __setattr__, __delattr__ = object.__setattr__, object.__delattr__
     __hash__ = None
 
-    def __init__(self, scenario: str, seed: int, checks: list[Check] | None = None,
-                 decomposition_depth: int = DECOMPOSITION_DEPTH):
-        self._set(scenario, seed, [] if checks is None else checks,
-                  decomposition_depth)
+    def __init__(self, scenario: str, seed: int, checks: list[Check] | None = None):
+        self._set(scenario, seed, [] if checks is None else checks)
 
     def add(self, id: str, anchor: str, expected, computed) -> None:
         self.checks.append(Check(id, anchor, expected, computed))
@@ -106,7 +104,7 @@ class ScenarioReport(Record):
         return {
             "scenario": self.scenario,
             "seed": self.seed,
-            "decomposition_depth": self.decomposition_depth,
+            "decomposition_depth": DECOMPOSITION_DEPTH,
             "checks": [c.to_dict() for c in self.checks],
             "summary": {"total": total, "passed": good, "failed": total - good},
         }
@@ -305,6 +303,7 @@ def _scenario_lemma_numeri(rep: ScenarioReport) -> None:
 
 
 def _scenario_codes(rep: ScenarioReport) -> None:
+    from . import codes  # only this scenario needs the F_2 layer
     rep.add("de-dims", "DE(s) has dimension s-1 for s = 1..8",
             [s - 1 for s in range(1, 9)],
             [codes.de_code(s).dim for s in range(1, 9)])

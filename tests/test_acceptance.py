@@ -17,9 +17,9 @@ from bidouble.covers import (analyse, branch_preimage, count_double_fibres,
 from bidouble.examples import example1, example2, example3
 from bidouble.lattice import (BlowupLattice, DivisorClass, arithmetic_genus,
                               castelnuovo_bound)
-from bidouble.plane import (collinear, interpolation_dimension,
-                            standard_quadrilateral)
+from bidouble.plane import collinear, standard_quadrilateral
 from bidouble.scenarios import data_path, load_document
+from reference import interpolation_dimension
 
 CFG6 = standard_quadrilateral()
 CFG7 = standard_quadrilateral(with_p7=True)

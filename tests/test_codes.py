@@ -321,7 +321,10 @@ def _modules_loaded_by(statement: str) -> set[str]:
      f"{str(data_path('nodal_sides.json'))!r}]) == 0", {"cli", "codes", "lattice"}),
     ("from bidouble.cli import main; assert main(['h0', '--degree', '5', "
      "'--mults', '1,2,1,2,2,2,1', '--with-p7']) == 0", {"cli", "lattice", "plane"}),
-), ids=("import", "code", "h0"))
+    ("from bidouble.cli import main; assert main(['custom', "
+     f"{str(data_path('example2.json'))!r}]) == 0",
+     {"cli", "scenarios", "covers", "examples", "plane", "lattice"}),
+), ids=("import", "code", "h0", "custom"))
 def test_cli_loads_only_the_modules_of_its_command(statement, modules):
     loaded = _modules_loaded_by(statement)
     assert {m for m in loaded if m.startswith("bidouble.")} == \

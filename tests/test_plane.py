@@ -6,11 +6,11 @@ from math import gcd, perm
 import pytest
 
 from bidouble.lattice import BlowupLattice, DivisorClass
-from bidouble.plane import (FatPointSystem, PointConfiguration, collinear,
-                            det3, effective_decompositions, h0_class,
-                            h0_fat_points, interpolation_dimension,
-                            rank_rational, reducible_fibres,
-                            standard_quadrilateral, sum_of_decomposition)
+from bidouble.plane import (FatPointSystem, PointConfiguration, _on_a_conic,
+                            collinear, det3, h0_class, h0_fat_points,
+                            reducible_fibres, standard_quadrilateral)
+from reference import (effective_decompositions, interpolation_dimension,
+                       rank_rational, sum_of_decomposition)
 
 
 def _cross(a, b):
@@ -241,6 +241,35 @@ def test_almost_general_position_enforced():
     six = PointConfiguration(conic[:6], frozenset(), BlowupLattice(6), ())
     assert [str(e.cls) for e in six.negative_entries
             if e.self_intersection == -2] == ["2l-e1-e2-e3-e4-e5-e6"]
+    # so are six of them and a point off the conic, wherever it stands
+    for i in range(7):
+        points = list(conic[:6])
+        points.insert(i, (2, 3, 5))
+        cfg = PointConfiguration(tuple(points), frozenset(), BlowupLattice(7), ())
+        assert [e.cls for e in cfg.negative_entries if e.self_intersection == -2] \
+            == [DivisorClass(2, tuple(int(j != i) for j in range(7)))]
+
+
+def test_bracket_conic_test_matches_interpolation():
+    # every six of P6, of P7 and of the general points of seeds 0-29, and
+    # seeded sets of points of the conic xz = y^2 with up to two moved off it
+    cfgs = [standard_quadrilateral(), standard_quadrilateral(with_p7=True)]
+    cfgs += [standard_quadrilateral(with_general_point=True, seed=seed)
+             for seed in range(30)]
+    sets = [six for cfg in cfgs for six in itertools.combinations(cfg.points, 6)]
+    rng = random.Random(6)
+    for _ in range(400):
+        six = [(s * s, s * t, t * t)
+               for s, t in ((rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6))]
+        for i in rng.sample(range(6), rng.randint(0, 2)):
+            six[i] = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
+        sets.append(tuple(six))
+    on = 0
+    for six in sets:
+        want = interpolation_dimension(six, 2, [(i, 1) for i in range(6)]) > 0
+        assert _on_a_conic(*six) is want, six
+        on += want
+    assert (len(sets), on) == (618, 167)
 
 
 def test_h0_class_matches_interpolation():

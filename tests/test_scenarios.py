@@ -422,63 +422,14 @@ def test_cli_h0_multiplicity_above_degree_needs_no_matrix(capsys):
     assert capsys.readouterr().out == "h0(degree 400, mults [401]) = 0\n"
 
 
-def test_no_matrix_on_the_h0_path(monkeypatch, capsys):
-    from fractions import Fraction
-
-    from bidouble import plane
-    from bidouble.lattice import BlowupLattice, DivisorClass
-
-    cfgs = [plane.standard_quadrilateral(),
-            plane.standard_quadrilateral(with_p7=True),
-            plane.standard_quadrilateral(with_general_point=True, seed=37)]
-    for cfg in cfgs:
-        cfg.negative_entries
-    calls = []
-    real = plane.interpolation_dimension
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(plane, "interpolation_dimension", counting)
-    for cfg in cfgs:
-        n = cfg.lattice.n
-        assert plane.h0_class(cfg, DivisorClass(14, (8, 0, 0, 8, 0, 0, 8)[:n])) > 0
-        assert plane.h0_fat_points(
-            cfg, plane.FatPointSystem(12, tuple((i, 4) for i in range(n)))) > 0
-    assert main(["h0", "--degree", "20", "--mults", "11,0,0,11,0,0,11",
-                 "--general-point", "--seed", "37"]) == 0
-    assert main(["verify", "all", "--seed", "5"]) == 0
-    capsys.readouterr()
-    assert calls == []
-    # the counter does see the conic test of six points with no three
-    # collinear, the one place the curve derivation needs a matrix
-    conic = tuple((Fraction(t), Fraction(t * t), Fraction(1)) for t in range(6))
-    plane.PointConfiguration(conic, frozenset(), BlowupLattice(6),
-                             ()).negative_entries
-    assert len(calls) == 1
-
-
-def test_no_search_on_the_fibre_path(monkeypatch, capsys):
+def test_plane_has_no_rank_kernel_or_search():
+    # the matrix rank and the catalogue search are test references only
+    import bidouble
     from bidouble import plane
 
-    calls = []
-    real = plane._bounded_decompositions
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(plane, "_bounded_decompositions", counting)
-    assert main(["verify", "all", "--seed", "5"]) == 0
-    for n in (1, 2, 3):
-        assert main(["custom", str(data_path(f"example{n}.json"))]) == 0
-    capsys.readouterr()
-    assert calls == []
-    # the counter does see the catalogue search
-    cfg = plane.standard_quadrilateral()
-    plane.effective_decompositions(cfg, cfg.cls("f1"))
-    assert len(calls) == 1
+    names = {*vars(plane), *bidouble.__all__}
+    assert not names & {"interpolation_dimension", "rank_rational",
+                        "effective_decompositions", "_bounded_decompositions"}
 
 
 def test_cli_code(capsys, tmp_path):
