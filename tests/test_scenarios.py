@@ -422,14 +422,89 @@ def test_cli_h0_multiplicity_above_degree_needs_no_matrix(capsys):
     assert capsys.readouterr().out == "h0(degree 400, mults [401]) = 0\n"
 
 
-def test_plane_has_no_rank_kernel_or_search():
-    # the matrix rank and the catalogue search are test references only
+def test_no_matrix_on_the_h0_path(monkeypatch, capsys):
+    from fractions import Fraction
+
     import bidouble
+    import reference
+    from bidouble import plane
+    from bidouble.lattice import BlowupLattice, DivisorClass
+
+    # the matrix rank is a test reference only
+    assert not {*vars(plane), *bidouble.__all__} & {
+        "interpolation_dimension", "rank_rational"}
+    cfgs = [plane.standard_quadrilateral(),
+            plane.standard_quadrilateral(with_p7=True),
+            plane.standard_quadrilateral(with_general_point=True, seed=37)]
+    for cfg in cfgs:
+        cfg.negative_entries
+    calls = []
+    real = reference.interpolation_dimension
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reference, "interpolation_dimension", counting)
+    got = []
+    for cfg in cfgs:
+        n = cfg.lattice.n
+        cls = DivisorClass(14, (8, 0, 0, 8, 0, 0, 8)[:n])
+        system = plane.FatPointSystem(12, tuple((i, 4) for i in range(n)))
+        got.append((cfg, cls, plane.h0_class(cfg, cls),
+                    system, plane.h0_fat_points(cfg, system)))
+    assert main(["h0", "--degree", "20", "--mults", "11,0,0,11,0,0,11",
+                 "--general-point", "--seed", "37"]) == 0
+    assert main(["verify", "all", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the answers are the ones the matrix gives
+    for cfg, cls, h0, system, h0_fat in got:
+        assignments = [(i, m) for i, m in enumerate(cls.mults) if m]
+        assert h0 == real(cfg.points, cls.degree, assignments) > 0
+        assert h0_fat == real(cfg.points, system.degree,
+                              system.assignments) > 0
+    # six points with no three collinear are tested for a conic once, by
+    # the bracket identity
+    conics = []
+    on_a_conic = plane._on_a_conic
+
+    def counting_conic(*points):
+        conics.append(points)
+        return on_a_conic(*points)
+
+    monkeypatch.setattr(plane, "_on_a_conic", counting_conic)
+    conic = tuple((Fraction(t), Fraction(t * t), Fraction(1)) for t in range(6))
+    plane.PointConfiguration(conic, frozenset(), BlowupLattice(6),
+                             ()).negative_entries
+    assert len(conics) == 1
+
+
+def test_no_search_on_the_fibre_path(monkeypatch, capsys):
+    import bidouble
+    import reference
     from bidouble import plane
 
-    names = {*vars(plane), *bidouble.__all__}
-    assert not names & {"interpolation_dimension", "rank_rational",
-                        "effective_decompositions", "_bounded_decompositions"}
+    # the catalogue search is a test reference only
+    assert not {*vars(plane), *bidouble.__all__} & {
+        "effective_decompositions", "_bounded_decompositions"}
+    calls = []
+    real = reference._bounded_decompositions
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reference, "_bounded_decompositions", counting)
+    assert main(["verify", "all", "--seed", "5"]) == 0
+    for n in (1, 2, 3):
+        assert main(["custom", str(data_path(f"example{n}.json"))]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the counter does see the catalogue search
+    cfg = standard_quadrilateral()
+    reference.effective_decompositions(cfg, cfg.cls("f1"))
+    assert len(calls) == 1
 
 
 def test_cli_code(capsys, tmp_path):
