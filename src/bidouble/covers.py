@@ -76,7 +76,7 @@ class RelationError(ValueError):
 
 
 class IncidenceError(ValueError):
-    """A branch divisor is not smooth, or the marked point is not (1,1,1)."""
+    """A branch divisor is not smooth, or the blown-up point is not general."""
 
 
 class InvariantConsistencyError(ValueError):
@@ -88,16 +88,19 @@ class BranchComponent(Record):
 
     ``branch`` is 1, 2 or 3; ``through_point`` marks a moving component
     constrained to pass through the configuration's general point (used to
-    set up a (1,1,1)-point degeneration).
+    set up a (1,1,1)-point degeneration).  ``count`` is the number of
+    members of the class the component stands for.
     """
 
-    __slots__ = ("name", "cls", "branch", "through_point")
+    __slots__ = ("name", "cls", "branch", "through_point", "count")
 
     def __init__(self, name: str, cls: DivisorClass, branch: int,
-                 through_point: bool = False):
+                 through_point: bool = False, count: int = 1):
         if branch not in (1, 2, 3):
             raise ValueError("branch index must be 1, 2 or 3")
-        self._set(name, cls, branch, through_point)
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        self._set(name, cls, branch, through_point, count)
 
 
 class BidoubleData(Record):
@@ -128,7 +131,7 @@ class BidoubleData(Record):
         """(D_1, D_2, D_3), summed once."""
         totals = [self.lattice.zero] * 3
         for c in self.components:
-            totals[c.branch - 1] += c.cls
+            totals[c.branch - 1] += c.cls if c.count == 1 else c.count * c.cls
         return tuple(totals)
 
     def branch_class(self, i: int) -> DivisorClass:
@@ -164,7 +167,10 @@ def validate(bd: BidoubleData) -> DivisorClass:
         residues.append(("2L2 - (D1+D3)", r2))
     if residues:
         raise RelationError(residues)
-    counts = Counter((c.branch, c.cls) for c in bd.components)
+    counts = {}
+    for c in bd.components:
+        key = c.branch, c.cls
+        counts[key] = counts.get(key, 0) + c.count
     distinct = list(counts)
     for j, (i, a) in enumerate(distinct):
         for k, b in distinct[j + (counts[i, a] == 1):]:
@@ -218,7 +224,7 @@ def _preimage(bd: BidoubleData, comp: BranchComponent) -> BranchPreimage:
 
 def contraction_count(bd: BidoubleData) -> int:
     """Total number of (-1)-curves contracted towards the minimal model."""
-    return sum(_preimage(bd, c).contracted for c in bd.components)
+    return sum(c.count * _preimage(bd, c).contracted for c in bd.components)
 
 
 class InvariantReport(Record):
@@ -240,37 +246,28 @@ class InvariantReport(Record):
 def resolve_111(bd: BidoubleData, cfg: PointConfiguration) -> BidoubleData:
     """Blow up the general point where all three branch divisors meet.
 
-    ``cfg`` must carry the general point as its last centre; exactly one
-    component of each D_i must be marked ``through_point``.  The marked
-    components and L_1, L_2 lose the new exceptional class; the exceptional
-    curve joins no branch divisor.
+    ``cfg`` must carry the general point as its last centre, in no collinear
+    triple; exactly one component of each D_i must be marked
+    ``through_point``.  The marked components and L_1, L_2 lose the new
+    exceptional class; the exceptional curve joins no branch divisor.
     """
-    if not cfg.has_general_point:
-        raise IncidenceError("configuration has no general point to blow up")
     if cfg.lattice.n != bd.lattice.n + 1:
         raise IncidenceError("configuration must have exactly one extra point")
+    if any(cfg.lattice.n in t for t in cfg.collinear_triples):
+        raise IncidenceError("the new point lies in some collinear triple")
     for i in (1, 2, 3):
-        marked = [c for c in bd.components_of(i) if c.through_point]
-        if len(marked) != 1:
+        marked = sum(c.count for c in bd.components_of(i) if c.through_point)
+        if marked != 1:
             raise IncidenceError(
                 f"expected exactly one component of D{i} through the point, "
-                f"found {len(marked)}")
-    p = cfg.points[-1]
-    for c in bd.components:
-        entry = next((e for e in cfg.entries if e.name == c.name and e.line), None)
-        if entry is not None:
-            a, b_, c_ = entry.line
-            if a * p[0] + b_ * p[1] + c_ * p[2] == 0:
-                raise IncidenceError(
-                    f"rigid component {c.name} unexpectedly passes through "
-                    "the general point")
+                f"found {marked}")
     e_new = cfg.lattice.exceptional(cfg.lattice.n)
     comps = []
     for c in bd.components:
         cls = c.cls.lift()
         if c.through_point:
             cls = cls - e_new
-        comps.append(BranchComponent(c.name, cls, c.branch))
+        comps.append(BranchComponent(c.name, cls, c.branch, count=c.count))
     out = BidoubleData(cfg.lattice, tuple(comps),
                        bd.L1.lift() - e_new, bd.L2.lift() - e_new,
                        l_provenance=bd.l_provenance)
@@ -316,7 +313,9 @@ def count_double_fibres(bd: BidoubleData, pencil: DivisorClass,
     bundle (F^2 = 0, K.F = -2, F nef), before any other work.
     """
     members = reducible_fibres(cfg, pencil)
-    branched = Counter(c.cls for c in bd.components)
+    branched = Counter()
+    for c in bd.components:
+        branched[c.cls] = branched.get(c.cls, 0) + c.count
     count = branched[pencil]
     for member in members:
         if all(branched[e.cls] for e, _ in member):

@@ -33,6 +33,8 @@ from .plane import PointConfiguration, standard_quadrilateral
 __all__ = ["example1", "example2", "example3", "halve", "data_path",
            "load_document", "configuration_of", "cover_from_document"]
 
+_P7 = (1, 2, 1)  # the diagonal point of standard_quadrilateral(with_p7=True)
+
 # the ``configuration`` of a cover document -> its standard_quadrilateral
 _CONFIGURATIONS = {
     "quadrilateral": {},
@@ -78,8 +80,8 @@ def cover_from_document(doc: dict, cfg: PointConfiguration) -> BidoubleData:
     Schema: {lattice_n, components: [{name, class, branch: 0|1|2|3,
     multiplicity}], L1, L2} with L1/L2 optional (then derived by exact
     halving).  branch 0 entries are unbranched catalogue declarations and
-    are ignored for the cover itself.  multiplicity k expands into k
-    components named name, name#2, ...
+    are ignored for the cover itself.  multiplicity k becomes the
+    component's count.
     """
     lat = cfg.lattice
     if lat.n != index(doc["lattice_n"]):
@@ -94,15 +96,13 @@ def cover_from_document(doc: dict, cfg: PointConfiguration) -> BidoubleData:
         if mult < 1:
             raise ValueError(
                 f"component {raw['name']!r}: multiplicity must be >= 1")
-        for copy in range(mult):
-            name = raw["name"] if copy == 0 else f"{raw['name']}#{copy + 1}"
-            comps.append(BranchComponent(
-                name, cls, branch, through_point=bool(raw.get("through_point"))))
+        comps.append(BranchComponent(raw["name"], cls, branch,
+                                     bool(raw.get("through_point")), mult))
     if "L1" in doc and "L2" in doc:
         l1, l2 = lat.from_vector(doc["L1"]), lat.from_vector(doc["L2"])
         provenance = "given"
     else:
-        d1, d2, d3 = (sum((c.cls for c in comps if c.branch == i), lat.zero)
+        d1, d2, d3 = (sum((c.count * c.cls for c in comps if c.branch == i), lat.zero)
                       for i in (1, 2, 3))
         l1, l2 = halve(d2 + d3), halve(d1 + d3)
         provenance = "derived"
@@ -123,7 +123,7 @@ def example1(cfg: PointConfiguration | None = None,
              degenerating: bool = False) -> BidoubleData:
     """Branch data D1 = Delta1 + f2 + S1 + S2, D2 = Delta2 + f3,
     D3 = Delta3 + f1 + f1' + S3 + S4 on the 6-point blowup."""
-    if cfg is not None and (cfg.has_p7 or cfg.has_general_point):
+    if cfg is not None and len(cfg.points) != 6:
         raise ValueError("example 1 lives on the plain 6-point configuration")
     doc = _shipped(1)
     if degenerating:
@@ -136,7 +136,7 @@ def example1(cfg: PointConfiguration | None = None,
 def example2(cfg: PointConfiguration | None = None) -> BidoubleData:
     """Branch data D1 = C + S1 + S2, D2 = f3,
     D3 = f1 + f1' + Delta2bar + Delta3bar + S3 + S4 on the 7-point blowup."""
-    if cfg is not None and not cfg.has_p7:
+    if cfg is not None and cfg.points[6:] != (_P7,):
         raise ValueError("example 2 needs the P7 configuration")
     return _build(_shipped(2), cfg)
 
@@ -144,6 +144,6 @@ def example2(cfg: PointConfiguration | None = None) -> BidoubleData:
 def example3(cfg: PointConfiguration | None = None) -> BidoubleData:
     """Branch data D1 = C + Delta2bar + S1 + S2, D2 = Delta1 + e7,
     D3 = f1 + f1' + Delta3bar + S3 + S4; L1, L2 derived by exact halving."""
-    if cfg is not None and not cfg.has_p7:
+    if cfg is not None and cfg.points[6:] != (_P7,):
         raise ValueError("example 3 needs the P7 configuration")
     return _build(_shipped(3), cfg)

@@ -212,16 +212,6 @@ class BlowupLattice(Record):
         """K = -3l + e_1 + ... + e_n."""
         return DivisorClass(-3, (-1,) * self.n)
 
-    def blow_up(self) -> "BlowupLattice":
-        """Lattice after one more blowup; old classes lift via .lift()."""
-        return BlowupLattice(self.n + 1)
-
-    def lift(self, cls: DivisorClass) -> DivisorClass:
-        if cls.n != self.n - 1:
-            raise LatticeMismatchError(
-                f"cannot lift a class with {cls.n} mults to an n={self.n} lattice")
-        return cls.lift()
-
     def from_vector(self, vec) -> DivisorClass:
         cls = DivisorClass.from_vector(vec)
         if cls.n != self.n:

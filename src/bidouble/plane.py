@@ -4,9 +4,10 @@ Coordinates are fixed once and for all so that golden outputs are stable:
 P1=(1:0:0), P2=(0:1:0), P3=(0:0:1), P4=(1:1:1), then P5 = P1P2 ^ P3P4 =
 (1:1:0), P6 = P1P4 ^ P2P3 = (0:1:1), and P7 = (1:2:1) is the intersection
 of the diagonals P2P4 and P5P6.  An optional general point is drawn with
-small random rational affine coordinates (seeded), redrawn until it misses
-every catalogued line.  Every point is stored as a coprime integer triple,
-so incidences are decided in integer arithmetic.
+small random rational affine coordinates (seeded), redrawn until it is
+collinear with no two of P1..P6.  Every point is stored as a coprime integer
+triple, and every incidence is derived from the coordinates in integer
+arithmetic.
 
 The module also catalogues the named curves living on the blowups (sides
 S1..S4, diagonals, exceptional classes, the three conic pencils).  The
@@ -70,41 +71,28 @@ def _on_a_conic(p1, p2, p3, p4, p5, p6) -> bool:
             == det3(p1, p2, p4) * det3(p1, p3, p5) * det3(p2, p3, p6) * det3(p4, p5, p6))
 
 
-def _on_line(line, p: Point) -> bool:
-    a, b, c = line
-    return a * p[0] + b * p[1] + c * p[2] == 0
-
-
 class CurveEntry(Record):
     """A catalogued curve (or pencil class) on a blowup of the plane.
 
     ``kind`` is one of "exceptional", "line", "conic" (a rigid conic, such
     as the pencil member through the general point), "cubic" (a rigid
-    cubic) or "pencil".  ``line`` holds the coefficients (a, b, c) of
-    a*x+b*y+c*z for catalogued plane lines.
+    cubic) or "pencil".
     """
 
-    __slots__ = ("name", "cls", "kind", "line")
+    __slots__ = ("name", "cls", "kind")
 
-    def __init__(self, name: str, cls: DivisorClass, kind: str,
-                 line: tuple[int, int, int] | None = None):
-        self._set(name, cls, kind, line)
+    def __init__(self, name: str, cls: DivisorClass, kind: str):
+        self._set(name, cls, kind)
 
     @property
     def self_intersection(self) -> int:
         return self.cls.dot(self.cls)
 
 
-# plane lines of the configuration: name -> coefficients of a*x+b*y+c*z
-_LINE_COEFFS = {
-    "S1": (0, 0, 1),        # P1 P2 P5
-    "S2": (1, 0, 0),        # P2 P3 P6
-    "S3": (1, -1, 0),       # P3 P4 P5
-    "S4": (0, 1, -1),       # P4 P1 P6
-    "Delta1": (0, 1, 0),    # P1 P3
-    "Delta2": (1, 0, -1),   # P2 P4 (P7)
-    "Delta3": (1, -1, 1),   # P5 P6 (P7)
-}
+# plane lines of the configuration, each named by two of its points; its
+# class passes through every point collinear with those two
+_LINES = {"S1": (1, 2), "S2": (2, 3), "S3": (3, 4), "S4": (1, 4),
+          "Delta1": (1, 3), "Delta2": (2, 4), "Delta3": (5, 6)}
 
 # conic pencil classes on the 6-point blowup (four base points each)
 _PENCIL_BASE = {
@@ -118,48 +106,41 @@ class PointConfiguration(Record):
     """Coprime integer coordinates for the blown-up points plus the curve
     catalogue.
 
-    ``collinear_triples`` records the 1-based incident triples; construction
-    verifies each by an exact determinant and verifies that no other triple
-    of catalogued points is collinear.  It also verifies almost general
-    position: at most seven points, no four on a line, not seven on a
-    conic.
+    The lattice and the 1-based ``collinear_triples`` are derived from the
+    points, the triples by one exact determinant each.  Construction
+    verifies almost general position: at most seven points, no four on a
+    line, not seven on a conic.
     """
 
-    __slots__ = ("points", "collinear_triples", "lattice", "entries", "has_p7",
-                 "has_general_point", "seed", "__dict__")
+    __slots__ = ("points", "entries", "__dict__")
 
-    def __init__(self, points: tuple[Point, ...],
-                 collinear_triples: frozenset[frozenset[int]],
-                 lattice: BlowupLattice, entries: tuple[CurveEntry, ...],
-                 has_p7: bool = False, has_general_point: bool = False,
-                 seed: int | None = None):
-        self._set(points, collinear_triples, lattice, entries, has_p7,
-                  has_general_point, seed)
-        if len(self.points) != self.lattice.n:
-            raise ValueError("one blown-up point per exceptional class required")
-        if self.lattice.n > 7:
+    def __init__(self, points: tuple[Point, ...], entries: tuple[CurveEntry, ...]):
+        self._set(points, entries)
+        if len(points) > 7:
             raise ValueError("the negative curves are derived for at most 7 points")
-        for triple in self.collinear_triples:
-            i, j, k = sorted(triple)
-            if not collinear(self.points[i - 1], self.points[j - 1], self.points[k - 1]):
-                raise ValueError(f"recorded triple {{{i},{j},{k}}} is not collinear")
-        for i, j, k in itertools.combinations(range(1, len(self.points) + 1), 3):
-            if frozenset((i, j, k)) in self.collinear_triples:
-                continue
-            if collinear(self.points[i - 1], self.points[j - 1], self.points[k - 1]):
-                raise ValueError(f"unrecorded collinearity {{{i},{j},{k}}}")
-        # almost general position: two triples sharing two points put four
-        # points on one line (as do two coinciding points, once there are
-        # four); seven points on a conic through a collinear triple would
-        # put the other four on a line.  With no three collinear, five of
-        # the points fix one conic, which the other two must both lie on
-        for a, b in itertools.combinations(self.collinear_triples, 2):
+        # two triples sharing two points put four points on one line (as do
+        # two coinciding points, once there are four); seven points on a
+        # conic through a collinear triple would put the other four on a
+        # line.  With no three collinear, five of the points fix one conic,
+        # which the other two must both lie on
+        triples = self.collinear_triples
+        for a, b in itertools.combinations(triples, 2):
             if len(a & b) == 2:
                 raise ValueError(f"points {sorted(a | b)} lie on one line")
-        p = self.points
-        if len(p) == 7 and not self.collinear_triples and \
-                _on_a_conic(*p[:6]) and _on_a_conic(*p[:5], p[6]):
+        if len(points) == 7 and not triples and \
+                _on_a_conic(*points[:6]) and _on_a_conic(*points[:5], points[6]):
             raise ValueError("the seven points lie on a conic")
+
+    @cached_property
+    def lattice(self) -> BlowupLattice:
+        return BlowupLattice(len(self.points))
+
+    @cached_property
+    def collinear_triples(self) -> frozenset[frozenset[int]]:
+        p = self.points
+        return frozenset(frozenset((i + 1, j + 1, k + 1)) for i, j, k in
+                         itertools.combinations(range(len(p)), 3)
+                         if collinear(p[i], p[j], p[k]))
 
     def point(self, i: int) -> Point:
         """1-based access, matching e_i."""
@@ -230,16 +211,17 @@ class PointConfiguration(Record):
                      for e in self.negative_entries)
 
 
-def _draw_general_point(seed: int, lines) -> Point:
+def _draw_general_point(seed: int, base: list[Point]) -> Point:
     import random  # only a general point needs it
     rng = random.Random(seed)
+    pairs = list(itertools.combinations(base, 2))
     while True:
         a1, b1 = rng.randint(-12, 12), rng.randint(1, 9)
         a2, b2 = rng.randint(-12, 12), rng.randint(1, 9)
         p = (a1 * b2, a2 * b1, b1 * b2)  # (a1/b1 : a2/b2 : 1)
         g = gcd(*p)
         p = tuple(c // g for c in p)
-        if not any(_on_line(line, p) for line in lines):
+        if not any(collinear(q, r, p) for q, r in pairs):
             return p
 
 
@@ -251,30 +233,29 @@ def standard_quadrilateral(with_p7: bool = False,
     ``with_p7`` adds the diagonal intersection P7 = (1:2:1) as a seventh
     centre (the diagonals then become the strict transforms Delta2bar,
     Delta3bar).  ``with_general_point`` instead adds a seeded random point
-    lying on none of the seven catalogued lines; the members of the conic
-    pencils through it join the catalogue as rigid (-1)-conics.
+    collinear with no two of P1..P6, so lying on none of the seven
+    catalogued lines; the members of the conic pencils through it join the
+    catalogue as rigid (-1)-conics.
     """
     if with_p7 and with_general_point:
         raise ValueError("choose at most one extra point")
 
     points = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 0), (0, 1, 1)]
-    triples = {frozenset(t) for t in ((1, 2, 5), (3, 4, 5), (2, 3, 6), (1, 4, 6))}
     if with_p7:
         points.append((1, 2, 1))
-        triples |= {frozenset((5, 6, 7)), frozenset((2, 4, 7))}
     if with_general_point:
-        points.append(_draw_general_point(seed, _LINE_COEFFS.values()))
+        points.append(_draw_general_point(seed, points))
 
     n = len(points)
     lat = BlowupLattice(n)
     entries: list[CurveEntry] = [
         CurveEntry(f"e{i}", lat.exceptional(i), "exceptional") for i in range(1, n + 1)
     ]
-    for name, coeffs in _LINE_COEFFS.items():
-        through = tuple(i for i in range(1, n + 1) if _on_line(coeffs, points[i - 1]))
-        mults = tuple(1 if i in through else 0 for i in range(1, n + 1))
-        label = name + "bar" if (with_p7 and 7 in through) else name
-        entries.append(CurveEntry(label, DivisorClass(1, mults), "line", coeffs))
+    for name, (i, j) in _LINES.items():
+        p, q = points[i - 1], points[j - 1]
+        mults = tuple(int(collinear(p, q, r)) for r in points)
+        label = name + "bar" if (with_p7 and mults[-1]) else name
+        entries.append(CurveEntry(label, DivisorClass(1, mults), "line"))
     for name, base in _PENCIL_BASE.items():
         mults = tuple(1 if i in base else 0 for i in range(1, n + 1))
         entries.append(CurveEntry(name, DivisorClass(2, mults), "pencil"))
@@ -287,9 +268,7 @@ def standard_quadrilateral(with_p7: bool = False,
         e7 = lat.exceptional(7)
         entries.append(CurveEntry("C", f2 + f3 - 2 * e7, "pencil"))
 
-    return PointConfiguration(tuple(points), frozenset(triples), lat, tuple(entries),
-                              has_p7=with_p7, has_general_point=with_general_point,
-                              seed=seed if with_general_point else None)
+    return PointConfiguration(tuple(points), tuple(entries))
 
 
 # ---------------------------------------------------------------------------

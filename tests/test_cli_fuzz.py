@@ -12,7 +12,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from bidouble.cli import main
 from bidouble.examples import data_path, load_document
@@ -121,15 +121,6 @@ def _edit_cover(doc, data):
              "quadrilateral-general-point", "hexagon", None)))
 
 
-def _large_multiplicity(doc) -> bool:
-    """Some multiplicity is above 3: the reader expands multiplicities
-    before any check, so a huge one would exhaust memory."""
-    comps = doc.get("components")
-    return isinstance(comps, list) and any(
-        isinstance(c, dict) and type(c.get("multiplicity")) is int
-        and c["multiplicity"] > 3 for c in comps)
-
-
 @settings(max_examples=200, **SETTINGS)
 @given(st.data())
 def test_fuzz_custom(scratch, data):
@@ -138,7 +129,6 @@ def test_fuzz_custom(scratch, data):
     _edit_cover(doc, data)
     for _ in range(data.draw(st.integers(0, 2))):
         _mutate(doc, data)
-    assume(not _large_multiplicity(doc))
     scratch.write_text(json.dumps(doc))
     fmt = data.draw(st.sampled_from(("json", "text")))
     seed = data.draw(st.integers(-10**6, 10**6))

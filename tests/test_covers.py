@@ -10,7 +10,7 @@ from bidouble.covers import (BidoubleData, BranchComponent, IncidenceError,
                              resolve_111, slope_check, validate)
 from bidouble.examples import example1, example2, example3, halve
 from bidouble.lattice import BlowupLattice, DivisorClass
-from bidouble.plane import standard_quadrilateral
+from bidouble.plane import PointConfiguration, standard_quadrilateral
 
 CFG6 = standard_quadrilateral()
 CFG7 = standard_quadrilateral(with_p7=True)
@@ -220,9 +220,17 @@ def test_resolve_111_incidence_errors():
                   for c in bd.components)
     with pytest.raises(IncidenceError):
         resolve_111(bd.replace(components=comps), cfg)
-    # no general point in the configuration
+    # no extra point in the configuration
     with pytest.raises(IncidenceError):
         resolve_111(example1(CFG6, degenerating=True), CFG6)
+    # an extra point in a collinear triple: P7, on both diagonals, and
+    # (1:0:2), on Delta1 = P1P3
+    on_delta1 = PointConfiguration(CFG6.points + ((1, 0, 2),), ())
+    assert on_delta1.collinear_triples - CFG6.collinear_triples == {
+        frozenset((1, 3, 7))}
+    for cfg in (CFG7, on_delta1):
+        with pytest.raises(IncidenceError, match="collinear triple"):
+            resolve_111(example1(CFG6, degenerating=True), cfg)
 
 
 def test_fibre_multiplicity():

@@ -110,16 +110,18 @@ def test_pairing_symmetric_bilinear():
 
 
 def test_blow_up():
-    lat7 = LAT6.blow_up()
+    lat7 = BlowupLattice(7)
     assert lat7.rank == 8
     assert lat7.canonical == DivisorClass(-3, (-1,) * 7)
     assert lat7.exceptional(7).dot(lat7.exceptional(7)) == -1
-    # lifted classes pair as before
+    # lifted classes pair as before, and miss the new exceptional class
     rng = random.Random(17)
     for _ in range(100):
         a, b = random_class(rng, 6), random_class(rng, 6)
-        assert lat7.lift(a).dot(lat7.lift(b)) == a.dot(b)
-    assert lat7.lift(F1).dot(lat7.lift(D1)) == 2
+        assert a.lift().n == lat7.n
+        assert a.lift().dot(b.lift()) == a.dot(b)
+        assert a.lift().dot(lat7.exceptional(7)) == 0
+    assert F1.lift().dot(D1.lift()) == 2
     # K + L3 = l - e1 - e2 - e3 on the 7-point lattice
     l3 = DivisorClass(4, (2, 2, 2, 1, 1, 1, 1))
     assert lat7.canonical + l3 == DivisorClass(1, (1, 1, 1, 0, 0, 0, 0))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,8 +7,8 @@ from math import gcd, perm
 import pytest
 
 from bidouble.lattice import BlowupLattice, DivisorClass
-from bidouble.plane import (FatPointSystem, PointConfiguration, _on_a_conic,
-                            collinear, det3, h0_class, h0_fat_points,
+from bidouble.plane import (_LINES, FatPointSystem, PointConfiguration,
+                            _on_a_conic, collinear, det3, h0_class, h0_fat_points,
                             reducible_fibres, standard_quadrilateral)
 from reference import (effective_decompositions, interpolation_dimension,
                        rank_rational, sum_of_decomposition)
@@ -69,10 +70,43 @@ def test_general_point_misses_catalogued_lines():
     for seed in (0, 1, 2, 34):
         cfg = standard_quadrilateral(with_general_point=True, seed=seed)
         p = cfg.points[-1]
+        assert not any(7 in t for t in cfg.collinear_triples)
         for e in cfg.entries:
-            if e.line is not None:
-                a, b, c = e.line
+            if e.kind == "line":
+                # the plane line through the entry's first two points
+                i, j = [k for k, m in enumerate(e.cls.mults) if m][:2]
+                a, b, c = _cross(cfg.points[i], cfg.points[j])
                 assert a * p[0] + b * p[1] + c * p[2] != 0
+                assert e.cls.mults[-1] == 0
+
+
+def test_general_point_draws_are_pinned():
+    # any change to the redraw rule changes some of the first 1000 draws
+    draws = [standard_quadrilateral(with_general_point=True, seed=s).points[-1]
+             for s in range(1000)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == \
+        "8bdfce54e3b134830664f78bd4bab8aadc52229f36c0c036720b36c3446e35c1"
+    assert (draws[0], draws[37]) == ((4, -3, 3), (81, 14, 18))
+
+
+def test_incidence_is_derived_from_the_points():
+    cfgs = [standard_quadrilateral(), standard_quadrilateral(with_p7=True)]
+    cfgs += [standard_quadrilateral(with_general_point=True, seed=seed)
+             for seed in range(-20, 40)]
+    for cfg in cfgs:
+        n = len(cfg.points)
+        assert cfg.lattice == BlowupLattice(n)
+        assert cfg.collinear_triples == {
+            frozenset(t) for t in itertools.combinations(range(1, n + 1), 3)
+            if det3(*(cfg.point(i) for i in t)) == 0}
+        # each line passes through the points on the line its two naming
+        # points span, found here by a cross product
+        lines = [e for e in cfg.entries if e.kind == "line"]
+        assert [e.name.removesuffix("bar") for e in lines] == list(_LINES)
+        for e, (i, j) in zip(lines, _LINES.values()):
+            a, b, c = _cross(cfg.point(i), cfg.point(j))
+            assert e.cls == DivisorClass(1, tuple(
+                int(a * p[0] + b * p[1] + c * p[2] == 0) for p in cfg.points))
 
 
 def test_points_are_coprime_integer_triples():
@@ -227,25 +261,25 @@ def test_negative_curve_counts():
 
 
 def test_almost_general_position_enforced():
-    lat = BlowupLattice(5)
     four_on_a_line = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1))
     points = tuple(tuple(map(Fraction, p)) for p in four_on_a_line)
-    triples = frozenset(map(frozenset, itertools.combinations(range(1, 5), 3)))
     with pytest.raises(ValueError, match="one line"):
-        PointConfiguration(points, triples, lat, ())
+        PointConfiguration(points, ())
     # seven points of the conic y z = x^2, no three collinear
     conic = tuple((Fraction(t), Fraction(t * t), Fraction(1)) for t in range(7))
     with pytest.raises(ValueError, match="conic"):
-        PointConfiguration(conic, frozenset(), BlowupLattice(7), ())
+        PointConfiguration(conic, ())
+    with pytest.raises(ValueError, match="at most 7"):
+        PointConfiguration(conic + ((2, 3, 5),), ())
     # six of them are fine, and the conic through them is a (-2)-curve
-    six = PointConfiguration(conic[:6], frozenset(), BlowupLattice(6), ())
+    six = PointConfiguration(conic[:6], ())
     assert [str(e.cls) for e in six.negative_entries
             if e.self_intersection == -2] == ["2l-e1-e2-e3-e4-e5-e6"]
     # so are six of them and a point off the conic, wherever it stands
     for i in range(7):
         points = list(conic[:6])
         points.insert(i, (2, 3, 5))
-        cfg = PointConfiguration(tuple(points), frozenset(), BlowupLattice(7), ())
+        cfg = PointConfiguration(tuple(points), ())
         assert [e.cls for e in cfg.negative_entries if e.self_intersection == -2] \
             == [DivisorClass(2, tuple(int(j != i) for j in range(7)))]
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import time
 
 import pytest
 
@@ -342,6 +343,35 @@ def test_contractions_need_no_name_lookup(monkeypatch):
     assert lookups == ["S1"]
 
 
+def test_huge_multiplicity_is_carried_as_a_count():
+    # 10^9 more members of f1 in D3 move L1 and L2 by 5*10^8 f1, as in
+    # test_contractions_need_no_name_lookup; a component carries its
+    # multiplicity as a count, so nothing grows with it
+    doc = load_document(data_path("example2.json"))
+    f1 = next(c for c in doc["components"] if c["name"] == "f1")
+    f1["multiplicity"] = 10**9 + 1
+    for key in ("L1", "L2"):
+        doc[key] = [a + 5 * 10**8 * b for a, b in zip(doc[key], f1["class"])]
+    start = time.perf_counter()
+    assert run_custom(doc)["invariants"]["contractions"] == 10
+    assert time.perf_counter() - start < 1
+
+
+def test_cli_custom_refuses_a_rigid_curve_with_multiplicity(tmp_path, capsys):
+    # three members of S1 in D1: L2 moves by S1, so the relations hold,
+    # but S1 meets itself in -2
+    doc = load_document(data_path("example2.json"))
+    s1 = next(c for c in doc["components"] if c["name"] == "S1")
+    s1["multiplicity"] = 3
+    doc["L2"] = [a + b for a, b in zip(doc["L2"], s1["class"])]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    assert main(["custom", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("error: D1 is not smooth") and "-2" in err
+
+
 @pytest.mark.parametrize("name, cls, meeting", (
     # Delta1 = l-e1-e3 misses C, S1 and S2 but meets itself in -1
     ("Delta1", [1, 1, 0, 1, 0, 0, 0, 0], "l-e1-e3 and l-e1-e3 have intersection -1"),
@@ -428,7 +458,7 @@ def test_no_matrix_on_the_h0_path(monkeypatch, capsys):
     import bidouble
     import reference
     from bidouble import plane
-    from bidouble.lattice import BlowupLattice, DivisorClass
+    from bidouble.lattice import DivisorClass
 
     # the matrix rank is a test reference only
     assert not {*vars(plane), *bidouble.__all__} & {
@@ -475,8 +505,7 @@ def test_no_matrix_on_the_h0_path(monkeypatch, capsys):
 
     monkeypatch.setattr(plane, "_on_a_conic", counting_conic)
     conic = tuple((Fraction(t), Fraction(t * t), Fraction(1)) for t in range(6))
-    plane.PointConfiguration(conic, frozenset(), BlowupLattice(6),
-                             ()).negative_entries
+    plane.PointConfiguration(conic, ()).negative_entries
     assert len(conics) == 1
 
 
@@ -649,10 +678,14 @@ def test_records_cache_out_of_their_fields():
     assert bd.branch_total is bd.branch_total
     assert bd._branch_classes is bd._branch_classes
     assert check.passed is True
+    # a fresh configuration has derived its collinear triples, to check them
+    assert [set(copy.__dict__) for copy in fresh] == [{"collinear_triples"},
+                                                      set(), set()]
     # a cached value is no field: equality, hash and repr ignore it
     for record, copy in zip((cfg, bd, check), fresh):
         assert "__dict__" not in record._asdict() and record.__dict__
-        assert copy.__dict__ == {} and copy == record
+        assert not record.__dict__.keys() & record._asdict().keys()
+        assert copy == record
         assert hash(copy) == hash(record) and repr(copy) == repr(record)
 
 
@@ -665,8 +698,9 @@ def test_record_replace_runs_the_checks_again():
         bd.replace(components=bd.components + (comp,))
     with pytest.raises(ValueError, match="degree"):
         records["FatPointSystem"].replace(degree=-1)
-    with pytest.raises(ValueError, match="collinear"):
-        records["PointConfiguration"].replace(collinear_triples=frozenset())
+    four_on_a_line = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="one line"):
+        records["PointConfiguration"].replace(points=four_on_a_line)
     with pytest.raises(TypeError):
         comp.replace(colour="red")
     assert list(records["InvariantReport"].to_dict()) == [
