@@ -12,12 +12,14 @@ Exit codes: 0 all checks pass, 1 a check or validation failed, 2 bad input.
 Each command imports its modules when it runs: ``verify`` and ``custom``
 load ``scenarios`` (which loads the rest, ``codes`` only for the ``codes``
 scenario), ``h0`` loads ``plane`` and ``lattice``, and ``code`` loads
-``codes`` and ``lattice``.
+``codes`` and ``lattice``.  The parser is built once per process and
+reused by every call of :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from operator import index
@@ -32,6 +34,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {' '.join(message.splitlines())}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bidouble",

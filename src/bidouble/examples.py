@@ -3,7 +3,8 @@ reader of the cover documents they are built from.
 
 The building data of each construction is read from its shipped document
 ``data/example{1,2,3}.json``, the same file that ``bidouble custom`` runs,
-by :func:`cover_from_document`; each document is parsed once per process.
+by :func:`cover_from_document`; each document is parsed once per process,
+and each construction built once per process and lattice and shared.
 
 * ``example1`` lives on the 6-point blowup: the branch uses a diagonal, one
   general member of each conic pencil (two of |f1|) and the four sides;
@@ -115,8 +116,27 @@ def _shipped(n: int) -> dict:
     return load_document(data_path(f"example{n}.json"))
 
 
-def _build(doc: dict, cfg: PointConfiguration | None) -> BidoubleData:
-    return cover_from_document(doc, configuration_of(doc) if cfg is None else cfg)
+def _build(n: int, cfg: PointConfiguration | None,
+           degenerating: bool = False) -> BidoubleData:
+    doc = _shipped(n)
+    return _cover(n, index(doc["lattice_n"]) if cfg is None else cfg.lattice.n,
+                  degenerating)
+
+
+@cache
+def _cover(n: int, lattice_n: int, degenerating: bool) -> BidoubleData:
+    # built once per lattice size and shared by every caller: the cover
+    # reads only the configuration's lattice (hashing a configuration would
+    # cost more than the size)
+    doc = _shipped(n)
+    if degenerating:
+        doc = dict(doc, components=[
+            dict(c, through_point=c["name"] in ("f1", "f2", "f3"))
+            for c in doc["components"]])
+    cfg = configuration_of(doc)
+    if cfg.lattice.n != lattice_n:
+        raise ValueError("configuration does not match lattice_n")
+    return cover_from_document(doc, cfg)
 
 
 def example1(cfg: PointConfiguration | None = None,
@@ -125,12 +145,7 @@ def example1(cfg: PointConfiguration | None = None,
     D3 = Delta3 + f1 + f1' + S3 + S4 on the 6-point blowup."""
     if cfg is not None and len(cfg.points) != 6:
         raise ValueError("example 1 lives on the plain 6-point configuration")
-    doc = _shipped(1)
-    if degenerating:
-        doc = dict(doc, components=[
-            dict(c, through_point=c["name"] in ("f1", "f2", "f3"))
-            for c in doc["components"]])
-    return _build(doc, cfg)
+    return _build(1, cfg, degenerating)
 
 
 def example2(cfg: PointConfiguration | None = None) -> BidoubleData:
@@ -138,7 +153,7 @@ def example2(cfg: PointConfiguration | None = None) -> BidoubleData:
     D3 = f1 + f1' + Delta2bar + Delta3bar + S3 + S4 on the 7-point blowup."""
     if cfg is not None and cfg.points[6:] != (_P7,):
         raise ValueError("example 2 needs the P7 configuration")
-    return _build(_shipped(2), cfg)
+    return _build(2, cfg)
 
 
 def example3(cfg: PointConfiguration | None = None) -> BidoubleData:
@@ -146,4 +161,4 @@ def example3(cfg: PointConfiguration | None = None) -> BidoubleData:
     D3 = f1 + f1' + Delta3bar + S3 + S4; L1, L2 derived by exact halving."""
     if cfg is not None and cfg.points[6:] != (_P7,):
         raise ValueError("example 3 needs the P7 configuration")
-    return _build(_shipped(3), cfg)
+    return _build(3, cfg)

@@ -7,7 +7,9 @@ of the diagonals P2P4 and P5P6.  An optional general point is drawn with
 small random rational affine coordinates (seeded), redrawn until it is
 collinear with no two of P1..P6.  Every point is stored as a coprime integer
 triple, and every incidence is derived from the coordinates in integer
-arithmetic.
+arithmetic.  Configurations are immutable records, so each one that
+``standard_quadrilateral`` builds is shared by every caller in the process,
+its negative curves derived once.
 
 The module also catalogues the named curves living on the blowups (sides
 S1..S4, diagonals, exceptional classes, the three conic pencils).  The
@@ -32,7 +34,7 @@ or 2) and every answer is lattice arithmetic on its negative curves:
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
@@ -56,6 +58,11 @@ def det3(p: Point, q: Point, r: Point) -> int:
     return (p[0] * (q[1] * r[2] - q[2] * r[1])
             - p[1] * (q[0] * r[2] - q[2] * r[0])
             + p[2] * (q[0] * r[1] - q[1] * r[0]))
+
+
+def _cross(p: Point, q: Point) -> Point:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
 
 
 def collinear(p: Point, q: Point, r: Point) -> bool:
@@ -118,6 +125,13 @@ class PointConfiguration(Record):
         self._set(points, entries)
         if len(points) > 7:
             raise ValueError("the negative curves are derived for at most 7 points")
+        # distinct points of P^2: no zero triple, no two proportional ones
+        for i, p in enumerate(points, 1):
+            if not any(p):
+                raise ValueError(f"point {i} is (0, 0, 0)")
+        for (i, p), (j, q) in itertools.combinations(enumerate(points, 1), 2):
+            if not any(_cross(p, q)):
+                raise ValueError(f"points {i} {p} and {j} {q} coincide")
         # two triples sharing two points put four points on one line (as do
         # two coinciding points, once there are four); seven points on a
         # conic through a collinear triple would put the other four on a
@@ -236,10 +250,21 @@ def standard_quadrilateral(with_p7: bool = False,
     collinear with no two of P1..P6, so lying on none of the seven
     catalogued lines; the members of the conic pencils through it join the
     catalogue as rigid (-1)-conics.
+
+    Each configuration is built once per process and shared: P6 and P7
+    ignore ``seed``, and the last 32 general points are kept.  It is an
+    immutable record, so sharing it is safe, and its negative curves are
+    derived once.
     """
     if with_p7 and with_general_point:
         raise ValueError("choose at most one extra point")
+    return _quadrilateral(with_p7, with_general_point,
+                          seed if with_general_point else None)
 
+
+@lru_cache(maxsize=32)
+def _quadrilateral(with_p7: bool, with_general_point: bool,
+                   seed: int | None) -> PointConfiguration:
     points = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 0), (0, 1, 1)]
     if with_p7:
         points.append((1, 2, 1))

@@ -109,6 +109,7 @@ def test_examples_read_each_shipped_document_once(monkeypatch):
 
     monkeypatch.setattr(examples, "load_document", counting)
     examples._shipped.cache_clear()
+    examples._cover.cache_clear()
     for _ in range(3):
         # without a configuration, each takes the one its document names
         assert example1() == example1(CFG6)

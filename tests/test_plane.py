@@ -8,8 +8,8 @@ import pytest
 
 from bidouble.lattice import BlowupLattice, DivisorClass
 from bidouble.plane import (_LINES, FatPointSystem, PointConfiguration,
-                            _on_a_conic, collinear, det3, h0_class, h0_fat_points,
-                            reducible_fibres, standard_quadrilateral)
+                            _on_a_conic, _quadrilateral, collinear, det3, h0_class,
+                            h0_fat_points, reducible_fibres, standard_quadrilateral)
 from reference import (effective_decompositions, interpolation_dimension,
                        rank_rational, sum_of_decomposition)
 
@@ -282,6 +282,36 @@ def test_almost_general_position_enforced():
         cfg = PointConfiguration(tuple(points), ())
         assert [e.cls for e in cfg.negative_entries if e.self_intersection == -2] \
             == [DivisorClass(2, tuple(int(j != i) for j in range(7)))]
+
+
+def test_coinciding_and_zero_points_refused():
+    with pytest.raises(ValueError, match=r"points 1 \(1, 0, 0\) and 2 \(1, 0, 0\) coincide"):
+        PointConfiguration(((1, 0, 0), (1, 0, 0)), ())
+    with pytest.raises(ValueError, match=r"point 1 is \(0, 0, 0\)"):
+        PointConfiguration(((0, 0, 0),), ())
+    # proportional triples are one point of P^2, rational ones included
+    with pytest.raises(ValueError, match="points 2 .* and 3 .* coincide"):
+        PointConfiguration(((1, 0, 0), (Fraction(1, 2), 1, 0), (1, 2, 0)), ())
+    with pytest.raises(ValueError, match="point 3 is"):
+        PointConfiguration(((1, 0, 0), (0, 1, 0), (0, 0, 0)), ())
+
+
+def test_configurations_are_shared_per_process():
+    p7 = standard_quadrilateral(with_p7=True)
+    assert p7 is standard_quadrilateral(with_p7=True, seed=5)
+    assert standard_quadrilateral() is standard_quadrilateral(seed=5)
+    assert p7.negative_entries is standard_quadrilateral(with_p7=True).negative_entries
+    one, two = (standard_quadrilateral(with_general_point=True, seed=s) for s in (1, 2))
+    assert one is not two and one.points != two.points
+    assert one is standard_quadrilateral(with_general_point=True, seed=1)
+    for _ in range(2):  # the check runs on every call, not once
+        with pytest.raises(ValueError, match="at most one extra point"):
+            standard_quadrilateral(with_p7=True, with_general_point=True)
+    # bounded: a process that draws many general points keeps the last few
+    assert _quadrilateral.cache_info().maxsize is not None
+    for seed in range(100, 100 + 2 * _quadrilateral.cache_info().maxsize):
+        standard_quadrilateral(with_general_point=True, seed=seed)
+    assert _quadrilateral.cache_info().currsize == _quadrilateral.cache_info().maxsize
 
 
 def test_bracket_conic_test_matches_interpolation():

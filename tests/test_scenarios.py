@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from bidouble.cli import main
+import bidouble
+from bidouble.cli import _build_parser, main
 from bidouble.covers import RelationError
 from bidouble.plane import standard_quadrilateral
 from bidouble.scenarios import (SCENARIO_NAMES, data_path, load_document,
@@ -415,6 +420,28 @@ def test_cli_h0(capsys):
     assert "= 0" in capsys.readouterr().out
     assert main(["h0", "--degree", "2", "--mults", "x"]) == 2
     assert main(["h0", "--degree", "2", "--mults", "1,1,1,1,1,1,1,1"]) == 2
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["verify", "all", "--format", "json", "--seed", "5"], 0),
+    (["h0", "--degree", "5", "--mults", "1,2,1,2,2,2,1", "--with-p7"], 0),
+    (["verify", "all", "--seed", "five"], 2),
+])
+def test_cli_in_process_matches_a_fresh_process(argv, want, capsys):
+    # the parser and the configurations are shared within a process: calls
+    # after the first answer exactly as a fresh ``python -m bidouble`` does
+    src = str(Path(bidouble.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = subprocess.run([sys.executable, "-m", "bidouble", *argv],
+                           capture_output=True, text=True, env=env)
+    assert fresh.returncode == want
+    for _ in range(2):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert bool(out) != bool(err) and len(err.splitlines()) == int(want == 2)
+    assert _build_parser() is _build_parser()
 
 
 def test_cli_h0_beyond_any_matrix(capsys):
