@@ -7,11 +7,10 @@ integer arithmetic: lattice arithmetic on the negative curves of the
 blowup, and bracket determinants of the points for incidence.
 """
 
-from bidouble import analyse, branch_preimage, standard_quadrilateral
+from bidouble import analyse, branch_preimage
 from bidouble.examples import example2
 
-cfg = standard_quadrilateral(with_p7=True)
-bd = example2(cfg)
+bd = example2()
 
 print("branch divisors:")
 for i in (1, 2, 3):
@@ -19,7 +18,7 @@ for i in (1, 2, 3):
     print(f"  D{i} = {comps}   (class {bd.branch_class(i)})")
 print("L1 =", bd.L1)
 print("L2 =", bd.L2)
-l3, rep, bic = analyse(bd, cfg, cfg.cls("f1"))
+l3, rep, bic = analyse(bd, bd.configuration.cls("f1"))
 print("L3 =", l3, "  (derived; both cover relations hold exactly)")
 print()
 

@@ -13,9 +13,8 @@ from bidouble import (analyse, fibre_multiplicity, resolve_111,
                       standard_quadrilateral)
 from bidouble.examples import example1
 
-cfg6 = standard_quadrilateral()
-bd = example1(cfg6, degenerating=True)
-_, before, _ = analyse(bd, cfg6, cfg6.cls("f1"))
+bd = example1(degenerating=True)
+_, before, _ = analyse(bd, bd.configuration.cls("f1"))
 print("before the degeneration:")
 print(f"  K^2_minimal = {before.K2_minimal}, p_g = {before.pg}, "
       f"double fibres = {before.double_fibres}")
@@ -26,7 +25,7 @@ x, y, z = cfg.points[-1]
 print("general point drawn:", tuple(str(Fraction(c, z)) for c in (x, y, z)))
 out = resolve_111(bd, cfg)
 f1 = cfg.cls("f1")
-_, after, _ = analyse(out, cfg, f1)
+_, after, _ = analyse(out, f1)
 print("after blowing it up and adjusting the branch data:")
 print(f"  K^2_minimal = {after.K2_minimal}, p_g = {after.pg}, "
       f"double fibres = {after.double_fibres}")

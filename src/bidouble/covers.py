@@ -1,8 +1,9 @@
 """Building data of bidouble (Z/2 x Z/2) covers and surface invariants.
 
-A bidouble cover of a rational surface is specified by three branch
-divisors D_1, D_2, D_3 (formal sums of catalogued components) together
-with classes L_1, L_2 satisfying, exactly in the lattice,
+A bidouble cover of the plane blown up at the points of a configuration
+is specified by three branch divisors D_1, D_2, D_3 (formal sums of
+catalogued components) together with classes L_1, L_2 satisfying, exactly
+in the lattice,
 
     2*L_1 = D_2 + D_3,      2*L_2 = D_1 + D_3,
 
@@ -15,10 +16,11 @@ With D := D_1 + D_2 + D_3 the cover X has
 
 and the double of the canonical class pulls back from 2K + D, so the
 bicanonical space decomposes into h^0(2K+D) plus the three character
-summands h^0(2K+D-L_i).  ``analyse`` computes all of this once per
-construction: seven h^0 (three adjoint, one invariant, three character
-classes), the contraction bookkeeping and, given a pencil, the double
-fibres.
+summands h^0(2K+D-L_i).  The building data carries its configuration,
+so every h^0 is taken on the surface the cover was built on.  ``analyse``
+computes all of this once per construction: seven h^0 (three adjoint, one
+invariant, three character classes), the contraction bookkeeping and,
+given a pencil, the double fibres.
 
 Each smooth rational branch component G in D_i is covered by a double
 cover branched at b = G.(D_j + D_k) points: for b = 0 it splits into two
@@ -104,24 +106,29 @@ class BranchComponent(Record):
 
 
 class BidoubleData(Record):
-    """Branch components plus the classes L_1, L_2 of a bidouble cover."""
+    """Branch components plus the classes L_1, L_2 of a bidouble cover of
+    the blowup at the points of ``configuration``."""
 
-    __slots__ = ("lattice", "components", "L1", "L2", "l_provenance",
+    __slots__ = ("configuration", "components", "L1", "L2", "l_provenance",
                  "__dict__")
 
-    def __init__(self, lattice: BlowupLattice,
+    def __init__(self, configuration: PointConfiguration,
                  components: tuple[BranchComponent, ...], L1: DivisorClass,
                  L2: DivisorClass, l_provenance: str = "given"):  # or "derived"
         names = [c.name for c in components]
         if len(set(names)) != len(names):
             raise ValueError("branch components must be pairwise distinct")
         for c in components:
-            if c.cls.n != lattice.n:
+            if c.cls.n != configuration.lattice.n:
                 raise ValueError(f"component {c.name} lives on the wrong lattice")
         for lname, cls in (("L1", L1), ("L2", L2)):
-            if cls.n != lattice.n:
+            if cls.n != configuration.lattice.n:
                 raise ValueError(f"{lname} lives on the wrong lattice")
-        self._set(lattice, components, L1, L2, l_provenance)
+        self._set(configuration, components, L1, L2, l_provenance)
+
+    @property
+    def lattice(self) -> BlowupLattice:
+        return self.configuration.lattice
 
     def components_of(self, i: int) -> tuple[BranchComponent, ...]:
         return tuple(c for c in self.components if c.branch == i)
@@ -246,13 +253,15 @@ class InvariantReport(Record):
 def resolve_111(bd: BidoubleData, cfg: PointConfiguration) -> BidoubleData:
     """Blow up the general point where all three branch divisors meet.
 
-    ``cfg`` must carry the general point as its last centre, in no collinear
-    triple; exactly one component of each D_i must be marked
-    ``through_point``.  The marked components and L_1, L_2 lose the new
-    exceptional class; the exceptional curve joins no branch divisor.
+    ``cfg``, on which the result lives, must be the cover's configuration
+    with the general point added as its last centre, in no collinear triple;
+    exactly one component of each D_i must be marked ``through_point``.  The
+    marked components and L_1, L_2 lose the new exceptional class; the
+    exceptional curve joins no branch divisor.
     """
-    if cfg.lattice.n != bd.lattice.n + 1:
-        raise IncidenceError("configuration must have exactly one extra point")
+    if cfg.points[:-1] != bd.configuration.points:
+        raise IncidenceError(
+            "configuration must be the cover's points plus one extra point")
     if any(cfg.lattice.n in t for t in cfg.collinear_triples):
         raise IncidenceError("the new point lies in some collinear triple")
     for i in (1, 2, 3):
@@ -268,7 +277,7 @@ def resolve_111(bd: BidoubleData, cfg: PointConfiguration) -> BidoubleData:
         if c.through_point:
             cls = cls - e_new
         comps.append(BranchComponent(c.name, cls, c.branch, count=c.count))
-    out = BidoubleData(cfg.lattice, tuple(comps),
+    out = BidoubleData(cfg, tuple(comps),
                        bd.L1.lift() - e_new, bd.L2.lift() - e_new,
                        l_provenance=bd.l_provenance)
     validate(out)
@@ -299,8 +308,7 @@ def fibre_multiplicity(bd: BidoubleData, member, pencil: DivisorClass) -> int:
     return 2 if double else 1
 
 
-def count_double_fibres(bd: BidoubleData, pencil: DivisorClass,
-                        cfg: PointConfiguration) -> int:
+def count_double_fibres(bd: BidoubleData, pencil: DivisorClass) -> int:
     """Number of double fibres of the conic bundle given by the pencil.
 
     Each branch component of the pencil's class is a general member (so two
@@ -312,7 +320,7 @@ def count_double_fibres(bd: BidoubleData, pencil: DivisorClass,
     even multiplicity.  Raises ``ValueError`` unless the pencil is a conic
     bundle (F^2 = 0, K.F = -2, F nef), before any other work.
     """
-    members = reducible_fibres(cfg, pencil)
+    members = reducible_fibres(bd.configuration, pencil)
     branched = Counter()
     for c in bd.components:
         branched[c.cls] = branched.get(c.cls, 0) + c.count
@@ -347,8 +355,7 @@ class BicanonicalDecomposition(Record):
         }
 
 
-def analyse(bd: BidoubleData, cfg: PointConfiguration,
-            pencil: DivisorClass | None = None,
+def analyse(bd: BidoubleData, pencil: DivisorClass | None = None,
             ) -> tuple[DivisorClass, InvariantReport, BicanonicalDecomposition]:
     """Validate the data once and compute every invariant of the cover.
 
@@ -364,7 +371,8 @@ def analyse(bd: BidoubleData, cfg: PointConfiguration,
     """
     l3 = validate(bd)
     ls = (bd.L1, bd.L2, l3)
-    k = bd.lattice.canonical
+    cfg = bd.configuration
+    k = cfg.lattice.canonical
     chi = 4 + sum((L.dot(L) + L.dot(k)) // 2 for L in ls)
     pg = sum(h0_class(cfg, k + L) for L in ls)
     m = 2 * k + bd.branch_total
@@ -382,7 +390,7 @@ def analyse(bd: BidoubleData, cfg: PointConfiguration,
     if sorted(chars) == [0, 0, 1]:
         degree = 2
         involution = chars.index(1) + 1
-    fibres = None if pencil is None else count_double_fibres(bd, pencil, cfg)
+    fibres = None if pencil is None else count_double_fibres(bd, pencil)
     report = InvariantReport(chi=chi, K2_cover=k2_cover, pg=pg, q=pg + 1 - chi,
                              contractions=contractions, K2_minimal=k2_minimal,
                              double_fibres=fibres, bicanonical_degree=degree,

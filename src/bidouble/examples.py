@@ -3,8 +3,9 @@ reader of the cover documents they are built from.
 
 The building data of each construction is read from its shipped document
 ``data/example{1,2,3}.json``, the same file that ``bidouble custom`` runs,
-by :func:`cover_from_document`; each document is parsed once per process,
-and each construction built once per process and lattice and shared.
+by :func:`cover_from_document` on the configuration the document names;
+each document is parsed once per process, and each construction built once
+per process and shared.
 
 * ``example1`` lives on the 6-point blowup: the branch uses a diagonal, one
   general member of each conic pencil (two of |f1|) and the four sides;
@@ -34,8 +35,6 @@ from .plane import PointConfiguration, standard_quadrilateral
 __all__ = ["example1", "example2", "example3", "halve", "data_path",
            "load_document", "configuration_of", "cover_from_document"]
 
-_P7 = (1, 2, 1)  # the diagonal point of standard_quadrilateral(with_p7=True)
-
 # the ``configuration`` of a cover document -> its standard_quadrilateral
 _CONFIGURATIONS = {
     "quadrilateral": {},
@@ -63,7 +62,9 @@ def load_document(path) -> dict:
 
 def configuration_of(doc: dict, seed: int = 0) -> PointConfiguration:
     """The configuration a cover document names; without a name, the one
-    of its lattice.  ``seed`` draws the general point, where there is one."""
+    of its lattice.  ``seed`` draws the general point, where there is one.
+    Raises ``ValueError`` unless the configuration has ``lattice_n``
+    points."""
     kind = doc.get("configuration")
     n = index(doc["lattice_n"])
     if kind is None:
@@ -72,11 +73,15 @@ def configuration_of(doc: dict, seed: int = 0) -> PointConfiguration:
             raise ValueError(f"no default configuration for lattice_n={n}")
     if kind not in _CONFIGURATIONS:
         raise ValueError(f"unknown configuration {kind!r}")
-    return standard_quadrilateral(seed=seed, **_CONFIGURATIONS[kind])
+    cfg = standard_quadrilateral(seed=seed, **_CONFIGURATIONS[kind])
+    if cfg.lattice.n != n:
+        raise ValueError("configuration does not match lattice_n")
+    return cfg
 
 
-def cover_from_document(doc: dict, cfg: PointConfiguration) -> BidoubleData:
-    """Build BidoubleData from a parsed cover document.
+def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
+    """Build BidoubleData from a parsed cover document, on the configuration
+    :func:`configuration_of` gives it for ``seed``.
 
     Schema: {lattice_n, components: [{name, class, branch: 0|1|2|3,
     multiplicity}], L1, L2} with L1/L2 optional (then derived by exact
@@ -84,9 +89,8 @@ def cover_from_document(doc: dict, cfg: PointConfiguration) -> BidoubleData:
     are ignored for the cover itself.  multiplicity k becomes the
     component's count.
     """
+    cfg = configuration_of(doc, seed)
     lat = cfg.lattice
-    if lat.n != index(doc["lattice_n"]):
-        raise ValueError("configuration does not match lattice_n")
     comps = []
     for raw in doc["components"]:
         branch = index(raw["branch"])
@@ -107,7 +111,7 @@ def cover_from_document(doc: dict, cfg: PointConfiguration) -> BidoubleData:
                       for i in (1, 2, 3))
         l1, l2 = halve(d2 + d3), halve(d1 + d3)
         provenance = "derived"
-    return BidoubleData(lat, tuple(comps), l1, l2, l_provenance=provenance)
+    return BidoubleData(cfg, tuple(comps), l1, l2, l_provenance=provenance)
 
 
 @cache
@@ -116,49 +120,30 @@ def _shipped(n: int) -> dict:
     return load_document(data_path(f"example{n}.json"))
 
 
-def _build(n: int, cfg: PointConfiguration | None,
-           degenerating: bool = False) -> BidoubleData:
-    doc = _shipped(n)
-    return _cover(n, index(doc["lattice_n"]) if cfg is None else cfg.lattice.n,
-                  degenerating)
-
-
 @cache
-def _cover(n: int, lattice_n: int, degenerating: bool) -> BidoubleData:
-    # built once per lattice size and shared by every caller: the cover
-    # reads only the configuration's lattice (hashing a configuration would
-    # cost more than the size)
+def _cover(n: int, degenerating: bool) -> BidoubleData:
+    # built once per process and shared by every caller
     doc = _shipped(n)
     if degenerating:
         doc = dict(doc, components=[
             dict(c, through_point=c["name"] in ("f1", "f2", "f3"))
             for c in doc["components"]])
-    cfg = configuration_of(doc)
-    if cfg.lattice.n != lattice_n:
-        raise ValueError("configuration does not match lattice_n")
-    return cover_from_document(doc, cfg)
+    return cover_from_document(doc)
 
 
-def example1(cfg: PointConfiguration | None = None,
-             degenerating: bool = False) -> BidoubleData:
+def example1(degenerating: bool = False) -> BidoubleData:
     """Branch data D1 = Delta1 + f2 + S1 + S2, D2 = Delta2 + f3,
     D3 = Delta3 + f1 + f1' + S3 + S4 on the 6-point blowup."""
-    if cfg is not None and len(cfg.points) != 6:
-        raise ValueError("example 1 lives on the plain 6-point configuration")
-    return _build(1, cfg, degenerating)
+    return _cover(1, degenerating)
 
 
-def example2(cfg: PointConfiguration | None = None) -> BidoubleData:
+def example2() -> BidoubleData:
     """Branch data D1 = C + S1 + S2, D2 = f3,
     D3 = f1 + f1' + Delta2bar + Delta3bar + S3 + S4 on the 7-point blowup."""
-    if cfg is not None and cfg.points[6:] != (_P7,):
-        raise ValueError("example 2 needs the P7 configuration")
-    return _build(2, cfg)
+    return _cover(2, False)
 
 
-def example3(cfg: PointConfiguration | None = None) -> BidoubleData:
+def example3() -> BidoubleData:
     """Branch data D1 = C + Delta2bar + S1 + S2, D2 = Delta1 + e7,
     D3 = f1 + f1' + Delta3bar + S3 + S4; L1, L2 derived by exact halving."""
-    if cfg is not None and cfg.points[6:] != (_P7,):
-        raise ValueError("example 3 needs the P7 configuration")
-    return _build(3, cfg)
+    return _cover(3, False)

@@ -149,9 +149,9 @@ class DivisorClass(Record):
         """Coefficient vector of the class in Pic/2Pic, length 1+n."""
         return (self.degree % 2,) + tuple(m % 2 for m in self.mults)
 
-    def lift(self, extra: int = 1) -> "DivisorClass":
-        """Total-transform class on a lattice with ``extra`` more points."""
-        return DivisorClass._of(self.degree, self.mults + (0,) * extra)
+    def lift(self) -> "DivisorClass":
+        """Total-transform class on a lattice with one more point."""
+        return DivisorClass._of(self.degree, self.mults + (0,))
 
     def to_vector(self) -> list[int]:
         return [self.degree, *self.mults]

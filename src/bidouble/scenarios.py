@@ -24,8 +24,7 @@ import json
 from functools import cached_property
 
 from . import covers, examples
-from .examples import (configuration_of, cover_from_document, data_path,
-                       load_document)
+from .examples import cover_from_document, data_path, load_document
 from .lattice import (BlowupLattice, DivisorClass, Record, arithmetic_genus,
                       castelnuovo_bound, riemann_roch_chi)
 from .plane import h0_class, standard_quadrilateral
@@ -40,9 +39,6 @@ __all__ = [
     "load_document",
     "data_path",
 ]
-
-SCENARIO_NAMES = ("example1", "example1-degenerate", "example2", "example3",
-                  "lemma-numeri", "codes", "bounds")
 
 # the search depth that made a catalogue search complete for degree-2
 # pencils; the fibre count needs no search, but every report keeps the
@@ -157,9 +153,8 @@ def _report_checks(rep: ScenarioReport, label: str, inv, bic, expect):
 
 
 def _scenario_example1(rep: ScenarioReport) -> None:
-    cfg = standard_quadrilateral()
-    bd = examples.example1(cfg)
-    l3, inv, bic = covers.analyse(bd, cfg, cfg.cls("f1"))
+    bd = examples.example1()
+    l3, inv, bic = covers.analyse(bd, bd.configuration.cls("f1"))
     rep.add("valid", "2L1 = D2+D3 and 2L2 = D1+D3 hold exactly", True, True)
     rep.add("L3", "L3 = 4l-2e1-2e2-2e3-e4-e5-e6",
             [4, 2, 2, 2, 1, 1, 1], l3.to_vector())
@@ -176,12 +171,10 @@ def _scenario_example1(rep: ScenarioReport) -> None:
 
 
 def _scenario_example1_degenerate(rep: ScenarioReport) -> None:
-    cfg6 = standard_quadrilateral()
-    bd6 = examples.example1(cfg6, degenerating=True)
     cfg = standard_quadrilateral(with_general_point=True, seed=rep.seed)
-    bd = covers.resolve_111(bd6, cfg)
+    bd = covers.resolve_111(examples.example1(degenerating=True), cfg)
     f1 = cfg.cls("f1")
-    _, inv, bic = covers.analyse(bd, cfg, f1)
+    _, inv, bic = covers.analyse(bd, f1)
     rep.add("valid", "the resolved building data still validates", True, True)
     _report_checks(rep, "ex1deg", inv, bic, {
         "chi": 1, "pg": 0, "K2_cover": -2, "contractions": 8, "K2_minimal": 6,
@@ -195,9 +188,9 @@ def _scenario_example1_degenerate(rep: ScenarioReport) -> None:
 
 
 def _scenario_example2(rep: ScenarioReport) -> None:
-    cfg = standard_quadrilateral(with_p7=True)
-    bd = examples.example2(cfg)
-    l3, inv, bic = covers.analyse(bd, cfg, cfg.cls("f1"))
+    bd = examples.example2()
+    cfg = bd.configuration
+    l3, inv, bic = covers.analyse(bd, cfg.cls("f1"))
     rep.add("valid", "2L1 = D2+D3 and 2L2 = D1+D3 hold exactly", True, True)
     rep.add("L3", "L3 = 4l-2e1-2e2-2e3-e4-e5-e6-e7",
             [4, 2, 2, 2, 1, 1, 1, 1], l3.to_vector())
@@ -231,13 +224,12 @@ def _scenario_example2(rep: ScenarioReport) -> None:
 
 
 def _scenario_example3(rep: ScenarioReport) -> None:
-    cfg = standard_quadrilateral(with_p7=True)
-    bd = examples.example3(cfg)
+    bd = examples.example3()
     rep.add("L1-derived", "half of D2+D3 gives L1 = 4l-e1-e2-e3-2e4-2e5-2e6",
             [4, 1, 1, 1, 2, 2, 2, 0], bd.L1.to_vector())
     rep.add("L2-derived", "half of D1+D3 equals the L2 of example 2",
-            examples.example2(cfg).L2.to_vector(), bd.L2.to_vector())
-    _, inv, bic = covers.analyse(bd, cfg, cfg.cls("f1"))
+            examples.example2().L2.to_vector(), bd.L2.to_vector())
+    _, inv, bic = covers.analyse(bd, bd.configuration.cls("f1"))
     rep.add("valid", "the derived data validates", True, True)
     _report_checks(rep, "ex3", inv, bic, {
         "chi": 1, "pg": 0, "K2_cover": -2, "contractions": 8, "K2_minimal": 6,
@@ -363,6 +355,7 @@ _SCENARIOS = {
     "codes": _scenario_codes,
     "bounds": _scenario_bounds,
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 class ScenarioAbort(RuntimeError):
@@ -396,12 +389,9 @@ def run_custom(doc: dict, seed: int = 0) -> dict:
     """
     if not isinstance(doc, dict):
         raise ValueError("a cover document must be a JSON object")
-    cfg = configuration_of(doc, seed)
-    bd = cover_from_document(doc, cfg)
-    pencil = None
-    if "pencil" in doc:
-        pencil = cfg.lattice.from_vector(doc["pencil"])
-    l3, rep, bic = covers.analyse(bd, cfg, pencil)
+    bd = cover_from_document(doc, seed)
+    pencil = bd.lattice.from_vector(doc["pencil"]) if "pencil" in doc else None
+    l3, rep, bic = covers.analyse(bd, pencil)
     return {
         "scenario": "custom",
         "seed": seed,

@@ -30,29 +30,29 @@ def _passed(n, text):
 
 
 def test_criterion_1_example1():
-    bd = example1(CFG6)
+    bd = example1()
     l3 = validate(bd)
     assert l3 == DivisorClass(4, (2, 2, 2, 1, 1, 1))
-    rep = analyse(bd, CFG6)[1]
+    rep = analyse(bd)[1]
     assert rep.K2_cover == -1
     assert rep.contractions == 8
     assert rep.K2_minimal == 7
     assert rep.pg == 0
-    assert count_double_fibres(bd, CFG6.cls("f1"), CFG6) == 5
+    assert count_double_fibres(bd, CFG6.cls("f1")) == 5
     _passed(1, "example 1 validates; L3, K2_minimal=7 (-1+8), pg=0, "
                "5 double fibres")
 
 
 def test_criterion_2_example1_degeneration():
-    bd = example1(CFG6, degenerating=True)
+    bd = example1(degenerating=True)
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
     out = resolve_111(bd, cfg)
     validate(out)
-    rep = analyse(out, cfg)[1]
+    rep = analyse(out)[1]
     assert rep.K2_minimal == 6
     assert rep.pg == 0
     f1 = cfg.cls("f1")
-    assert count_double_fibres(out, f1, cfg) == 4
+    assert count_double_fibres(out, f1) == 4
     member = [(cfg.cls("f1_strict"), 1, 3), (cfg.lattice.exceptional(7), 1, None)]
     assert fibre_multiplicity(out, member, f1) == 1
     _passed(2, "degeneration: K2_minimal=6, pg=0, 4 double fibres, the "
@@ -60,31 +60,31 @@ def test_criterion_2_example1_degeneration():
 
 
 def test_criterion_3_example2():
-    bd = example2(CFG7)
+    bd = example2()
     l3 = validate(bd)
     assert l3 == DivisorClass(4, (2, 2, 2, 1, 1, 1, 1))
     from bidouble.plane import h0_class
     k = CFG7.lattice.canonical
     assert [h0_class(CFG7, k + L) for L in (bd.L1, bd.L2, l3)] == [0, 0, 0]
-    _, rep, bic = analyse(bd, CFG7)
+    _, rep, bic = analyse(bd)
     assert rep.chi == 1
     assert rep.K2_minimal == 6
     assert h0_class(CFG7, -1 * k + CFG7.cls("f1")) == 6
     assert (bic.h0_invariant, bic.h0_characters) == (6, (1, 0, 0))
     assert bic.total == 7
     assert (bic.degree, bic.involution_index) == (2, 1)
-    assert count_double_fibres(bd, CFG7.cls("f1"), CFG7) == 5
+    assert count_double_fibres(bd, CFG7.cls("f1")) == 5
     _passed(3, "example 2: printed L3, three vanishing adjoints, chi=1, "
                "K2_minimal=6, h0(-K+f1)=6, bicanonical (6,[1,0,0]) with "
                "P2=7 and the first involution, 5 double fibres")
 
 
 def test_criterion_4_example3():
-    bd = example3(CFG7)
+    bd = example3()
     assert bd.L1 == DivisorClass(4, (1, 1, 1, 2, 2, 2, 0))
-    assert bd.L2 == example2(CFG7).L2
+    assert bd.L2 == example2().L2
     validate(bd)
-    rep = analyse(bd, CFG7)[1]
+    rep = analyse(bd)[1]
     assert (rep.chi, rep.pg) == (1, 0)
     assert (rep.K2_cover, rep.contractions, rep.K2_minimal) == (-2, 8, 6)
     th1 = branch_preimage(bd, "Delta2bar")
@@ -206,8 +206,8 @@ def _permuted(bd, perm):
 
 
 def test_criterion_9_p2_consistency():
-    bases = [(example1(CFG6), CFG6), (example2(CFG7), CFG7),
-             (example3(CFG7), CFG7)]
+    bases = [(example1(), CFG6), (example2(), CFG7),
+             (example3(), CFG7)]
     cases = list(bases)
     rng = random.Random(99)
     perms = list(itertools.permutations((1, 2, 3)))
@@ -216,7 +216,7 @@ def test_criterion_9_p2_consistency():
         cases.append((_permuted(bd, perms[rng.randrange(6)]), cfg))
     for bd, cfg in cases:
         validate(bd)
-        _, rep, bic = analyse(bd, cfg)
+        _, rep, bic = analyse(bd)
         assert bic.total == rep.chi + rep.K2_minimal
     _passed(9, "bicanonical totals equal chi + K2_minimal for the three "
                "examples and 20 seeded validating relabelings")

@@ -17,7 +17,7 @@ CFG7 = standard_quadrilateral(with_p7=True)
 
 
 def test_validate_example1():
-    bd = example1(CFG6)
+    bd = example1()
     l3 = validate(bd)
     assert l3.to_vector() == [4, 2, 2, 2, 1, 1, 1]
     # independent re-derivation of the relations from the component sums
@@ -28,12 +28,12 @@ def test_validate_example1():
 
 
 def test_validate_example2():
-    bd = example2(CFG7)
+    bd = example2()
     assert validate(bd).to_vector() == [4, 2, 2, 2, 1, 1, 1, 1]
 
 
 def test_validate_rejects_corruption():
-    bd = example2(CFG7)
+    bd = example2()
     wrong = bd.replace(L1=bd.L1 + CFG7.lattice.exceptional(5))
     with pytest.raises(RelationError) as err:
         validate(wrong)
@@ -46,7 +46,7 @@ def test_validate_compares_each_class_once(monkeypatch):
     # smoothness compares distinct classes of one D_i pairwise and a
     # repeated class with itself: 2,000 more members of f1 in D3 (which
     # move L1 and L2 by 1000 f1) cost no more products than example 2's 14
-    bd = example2(CFG7)
+    bd = example2()
     f1 = next(c for c in bd.components if c.name == "f1")
     more = bd.replace(components=bd.components + tuple(
         f1.replace(name=f"f1#{k}") for k in range(2, 2002)),
@@ -61,8 +61,8 @@ def test_validate_compares_each_class_once(monkeypatch):
 
 def test_validate_corruption_sweep():
     # perturbing any single component class breaks at least one relation
-    for bd, cfg in ((example1(CFG6), CFG6), (example2(CFG7), CFG7),
-                    (example3(CFG7), CFG7)):
+    for bd, cfg in ((example1(), CFG6), (example2(), CFG7),
+                    (example3(), CFG7)):
         for idx, comp in enumerate(bd.components):
             e1 = cfg.lattice.exceptional(1)
             comps = list(bd.components)
@@ -72,10 +72,10 @@ def test_validate_corruption_sweep():
 
 
 def test_example3_derived_classes():
-    bd = example3(CFG7)
+    bd = example3()
     assert bd.l_provenance == "derived"
     assert bd.L1.to_vector() == [4, 1, 1, 1, 2, 2, 2, 0]
-    assert bd.L2 == example2(CFG7).L2
+    assert bd.L2 == example2().L2
     validate(bd)
 
 
@@ -84,17 +84,6 @@ def test_halve():
         DivisorClass(2, (1, 0, 1, 1, 0, 0))
     with pytest.raises(ValueError):
         halve(DivisorClass(3, (0,) * 6))
-
-
-def test_examples_refuse_other_configurations():
-    general = standard_quadrilateral(with_general_point=True, seed=3)
-    for cfg in (CFG7, general):
-        with pytest.raises(ValueError, match="plain 6-point"):
-            example1(cfg)
-    for build in (example2, example3):
-        for cfg in (CFG6, general):
-            with pytest.raises(ValueError, match="P7"):
-                build(cfg)
 
 
 def test_examples_read_each_shipped_document_once(monkeypatch):
@@ -111,10 +100,10 @@ def test_examples_read_each_shipped_document_once(monkeypatch):
     examples._shipped.cache_clear()
     examples._cover.cache_clear()
     for _ in range(3):
-        # without a configuration, each takes the one its document names
-        assert example1() == example1(CFG6)
-        assert example2() == example2(CFG7)
-        assert example3() == example3(CFG7)
+        # each lives on the configuration its document names
+        assert example1().configuration is CFG6
+        assert example2().configuration is CFG7
+        assert example3().configuration is CFG7
     assert sorted(p.name for p in reads) == \
         ["example1.json", "example2.json", "example3.json"]
     marked = {c.name for c in example1(degenerating=True).components
@@ -124,8 +113,8 @@ def test_examples_read_each_shipped_document_once(monkeypatch):
 
 
 def test_invariants_example1():
-    bd = example1(CFG6)
-    rep = analyse(bd, CFG6)[1]
+    bd = example1()
+    rep = analyse(bd)[1]
     # oracle for K^2 of the cover: (2K + D)^2 recomputed from raw sums
     m = 2 * CFG6.lattice.canonical + bd.branch_total
     assert m == DivisorClass(9, (3, 4, 3, 4, 4, 4))
@@ -135,19 +124,19 @@ def test_invariants_example1():
 
 
 def test_invariants_example2():
-    rep = analyse(example2(CFG7), CFG7)[1]
+    rep = analyse(example2())[1]
     assert (rep.chi, rep.pg, rep.K2_cover, rep.contractions, rep.K2_minimal) \
         == (1, 0, -4, 10, 6)
 
 
 def test_invariants_example3():
-    rep = analyse(example3(CFG7), CFG7)[1]
+    rep = analyse(example3())[1]
     assert (rep.chi, rep.pg, rep.K2_cover, rep.contractions, rep.K2_minimal) \
         == (1, 0, -2, 8, 6)
 
 
 def test_branch_preimage_split():
-    bd = example1(CFG6)
+    bd = example1()
     pre = branch_preimage(bd, "S1")
     assert pre.branch_degree == 0 and pre.splits
     assert pre.pieces == 2 and pre.self_intersection == -1
@@ -156,7 +145,7 @@ def test_branch_preimage_split():
 
 
 def test_branch_preimage_irreducible():
-    bd = example3(CFG7)
+    bd = example3()
     e = branch_preimage(bd, "e7")
     assert (e.branch_degree, e.genus, e.self_intersection) == (4, 1, -1)
     th1 = branch_preimage(bd, "Delta2bar")
@@ -167,16 +156,16 @@ def test_branch_preimage_irreducible():
 
 
 def test_branch_preimage_example2_contractions():
-    bd = example2(CFG7)
+    bd = example2()
     for name in ("S1", "S2", "S3", "S4", "Delta2bar"):
         assert branch_preimage(bd, name).contracted == 2
     assert contraction_count(bd) == 10
 
 
 def test_branch_preimage_corrupt_inputs():
-    lat = BlowupLattice(2)
+    two = PointConfiguration(((1, 0, 0), (0, 1, 0)), ())
     # b odd: component meets the other branch divisors in an odd number
-    bad = BidoubleData(lat, (
+    bad = BidoubleData(two, (
         BranchComponent("a", DivisorClass(1, (1, 0)), 1),
         BranchComponent("b", DivisorClass(1, (0, 1)), 2),
         BranchComponent("c", DivisorClass(1, (1, 1)), 3),
@@ -184,7 +173,7 @@ def test_branch_preimage_corrupt_inputs():
     with pytest.raises(ValueError, match="oddly"):
         branch_preimage(bad, "a")
     # b = 0 with odd self-intersection cannot split
-    bad2 = BidoubleData(lat, (
+    bad2 = BidoubleData(two, (
         BranchComponent("a", DivisorClass(0, (-1, 0)), 1),
         BranchComponent("b", DivisorClass(0, (0, -1)), 2),
     ), L1=DivisorClass(0, (0, 0)), L2=DivisorClass(0, (0, 0)))
@@ -193,22 +182,22 @@ def test_branch_preimage_corrupt_inputs():
 
 
 def test_resolve_111():
-    bd = example1(CFG6, degenerating=True)
+    bd = example1(degenerating=True)
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
     out = resolve_111(bd, cfg)
     assert validate(out).to_vector() == [4, 2, 2, 2, 1, 1, 1, 1]
     assert out.component("f1").cls == DivisorClass(2, (0, 1, 0, 1, 1, 1, 1))
     assert out.component("f1p").cls == DivisorClass(2, (0, 1, 0, 1, 1, 1, 0))
-    rep = analyse(out, cfg)[1]
+    rep = analyse(out)[1]
     assert (rep.chi, rep.pg) == (1, 0)
     assert (rep.K2_cover, rep.contractions, rep.K2_minimal) == (-2, 8, 6)
 
 
 def test_resolve_111_preserves_chi_pg_drops_k2():
-    bd = example1(CFG6, degenerating=True)
-    before = analyse(bd, CFG6)[1]
+    bd = example1(degenerating=True)
+    before = analyse(bd)[1]
     cfg = standard_quadrilateral(with_general_point=True, seed=1)
-    after = analyse(resolve_111(bd, cfg), cfg)[1]
+    after = analyse(resolve_111(bd, cfg))[1]
     assert after.chi == before.chi and after.pg == before.pg
     assert after.K2_minimal == before.K2_minimal - 1
 
@@ -216,14 +205,14 @@ def test_resolve_111_preserves_chi_pg_drops_k2():
 def test_resolve_111_incidence_errors():
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
     # only two branch divisors meet the point
-    bd = example1(CFG6)
+    bd = example1()
     comps = tuple(c.replace(through_point=c.name in ("f2", "f3"))
                   for c in bd.components)
     with pytest.raises(IncidenceError):
         resolve_111(bd.replace(components=comps), cfg)
     # no extra point in the configuration
     with pytest.raises(IncidenceError):
-        resolve_111(example1(CFG6, degenerating=True), CFG6)
+        resolve_111(example1(degenerating=True), CFG6)
     # an extra point in a collinear triple: P7, on both diagonals, and
     # (1:0:2), on Delta1 = P1P3
     on_delta1 = PointConfiguration(CFG6.points + ((1, 0, 2),), ())
@@ -231,11 +220,26 @@ def test_resolve_111_incidence_errors():
         frozenset((1, 3, 7))}
     for cfg in (CFG7, on_delta1):
         with pytest.raises(IncidenceError, match="collinear triple"):
-            resolve_111(example1(CFG6, degenerating=True), cfg)
+            resolve_111(example1(degenerating=True), cfg)
+
+
+def test_resolve_111_refuses_a_reordered_configuration():
+    # the new configuration must extend the cover's own points: with P1 and
+    # P3 swapped (and the entries kept) the resolved cover counted 2 double
+    # fibres of f1 instead of 4
+    general = standard_quadrilateral(with_general_point=True, seed=0)
+    points = list(general.points)
+    points[0], points[2] = points[2], points[0]
+    swapped = PointConfiguration(tuple(points), general.entries)
+    with pytest.raises(IncidenceError, match="points plus one extra point"):
+        resolve_111(example1(degenerating=True), swapped)
+    out = resolve_111(example1(degenerating=True), general)
+    assert out.configuration is general
+    assert count_double_fibres(out, general.cls("f1")) == 4
 
 
 def test_fibre_multiplicity():
-    bd = example1(CFG6)
+    bd = example1()
     f1 = CFG6.cls("f1")
     e1 = CFG6.lattice.exceptional(1)
     member = [(CFG6.cls("S1"), 1, 1), (CFG6.cls("S4"), 1, 3), (e1, 2, None)]
@@ -251,7 +255,7 @@ def test_fibre_multiplicity():
 
 
 def test_fibre_multiplicity_example2_member():
-    bd = example2(CFG7)
+    bd = example2()
     f1 = CFG7.cls("f1")
     e7 = CFG7.lattice.exceptional(7)
     member = [(CFG7.cls("Delta2bar"), 1, 3), (CFG7.cls("Delta3bar"), 1, 3),
@@ -260,7 +264,7 @@ def test_fibre_multiplicity_example2_member():
 
 
 def test_fibre_multiplicity_synthetic_odd_components():
-    bd = example1(CFG6)
+    bd = example1()
     f1 = CFG6.cls("f1")
     rng = random.Random(31)
     # any member with an unbranched odd-multiplicity part has multiplicity 1
@@ -277,24 +281,24 @@ def test_fibre_multiplicity_synthetic_odd_components():
 
 
 def test_count_double_fibres():
-    assert count_double_fibres(example1(CFG6), CFG6.cls("f1"), CFG6) == 5
-    assert count_double_fibres(example2(CFG7), CFG7.cls("f1"), CFG7) == 5
-    assert count_double_fibres(example3(CFG7), CFG7.cls("f1"), CFG7) == 5
-    bd = example1(CFG6, degenerating=True)
+    assert count_double_fibres(example1(), CFG6.cls("f1")) == 5
+    assert count_double_fibres(example2(), CFG7.cls("f1")) == 5
+    assert count_double_fibres(example3(), CFG7.cls("f1")) == 5
+    bd = example1(degenerating=True)
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
     out = resolve_111(bd, cfg)
-    assert count_double_fibres(out, cfg.cls("f1"), cfg) == 4
+    assert count_double_fibres(out, cfg.cls("f1")) == 4
 
 
 def test_count_double_fibres_guards():
-    bd = example1(CFG6)
+    bd = example1()
     with pytest.raises(ValueError, match="self-intersection 0"):
-        count_double_fibres(bd, CFG6.cls("S1"), CFG6)
+        count_double_fibres(bd, CFG6.cls("S1"))
     # the count has no depth bound to exhaust
-    assert count_double_fibres(bd, CFG6.cls("f1"), CFG6) == 5
+    assert count_double_fibres(bd, CFG6.cls("f1")) == 5
     # |2 f1| is not a pencil, so it has no double fibres to count
     with pytest.raises(ValueError, match="not a conic bundle"):
-        count_double_fibres(bd, 2 * CFG6.cls("f1"), CFG6)
+        count_double_fibres(bd, 2 * CFG6.cls("f1"))
 
 
 def test_count_double_fibres_of_c():
@@ -306,16 +310,16 @@ def test_count_double_fibres_of_c():
     # example 3, Delta1 is branched too, which changes nothing.  The
     # catalogue search missed the first two members (the lines through P7
     # and P3 or P1 are not catalogued) and counted 2.
-    assert count_double_fibres(example2(CFG7), CFG7.cls("C"), CFG7) == 4
-    assert count_double_fibres(example3(CFG7), CFG7.cls("C"), CFG7) == 4
+    assert count_double_fibres(example2(), CFG7.cls("C")) == 4
+    assert count_double_fibres(example3(), CFG7.cls("C")) == 4
 
 
 def test_count_double_fibres_other_pencils():
     # the catalogue search gave the same counts for f2 and f3, every
     # member of those pencils being catalogued
-    counts = [[count_double_fibres(bd, cfg.cls(f), cfg) for f in ("f2", "f3")]
-              for bd, cfg in ((example1(CFG6), CFG6), (example2(CFG7), CFG7),
-                              (example3(CFG7), CFG7))]
+    counts = [[count_double_fibres(bd, cfg.cls(f)) for f in ("f2", "f3")]
+              for bd, cfg in ((example1(), CFG6), (example2(), CFG7),
+                              (example3(), CFG7))]
     assert counts == [[4, 4], [2, 3], [3, 3]]
 
 
@@ -324,15 +328,15 @@ def test_count_double_fibres_counts_name_choices():
     # branch components: with e1 listed twice, S1 + 2 e1 + S4 has the
     # choices {e1, e1}, {e1, e1'} and {e1', e1'}; f1, f1', Delta2 + Delta3
     # and S2 + 2 e3 + S3 add one each
-    bd = example1(CFG6)
+    bd = example1()
     e1 = CFG6.lattice.exceptional(1)
     twice = bd.replace(components=bd.components + (
         BranchComponent("e1", e1, 2), BranchComponent("e1'", e1, 2)))
-    assert count_double_fibres(twice, CFG6.cls("f1"), CFG6) == 7
+    assert count_double_fibres(twice, CFG6.cls("f1")) == 7
 
 
 def test_bicanonical_example1():
-    bic = analyse(example1(CFG6), CFG6)[2]
+    bic = analyse(example1())[2]
     assert bic.h0_invariant == 7
     assert bic.h0_characters == (1, 0, 0)
     assert bic.total == 8
@@ -340,22 +344,22 @@ def test_bicanonical_example1():
 
 
 def test_bicanonical_example2():
-    bic = analyse(example2(CFG7), CFG7)[2]
+    bic = analyse(example2())[2]
     assert (bic.h0_invariant, bic.h0_characters) == (6, (1, 0, 0))
     assert bic.total == 7
     assert (bic.degree, bic.involution_index) == (2, 1)
 
 
 def test_bicanonical_totals_match_p2():
-    for bd, cfg in ((example1(CFG6), CFG6), (example2(CFG7), CFG7),
-                    (example3(CFG7), CFG7)):
-        _, rep, bic = analyse(bd, cfg)
+    for bd, cfg in ((example1(), CFG6), (example2(), CFG7),
+                    (example3(), CFG7)):
+        _, rep, bic = analyse(bd)
         assert bic.total == rep.chi + rep.K2_minimal
 
 
 def test_analyse_report():
-    bd = example2(CFG7)
-    l3, rep, bic = analyse(bd, CFG7, CFG7.cls("f1"))
+    bd = example2()
+    l3, rep, bic = analyse(bd, CFG7.cls("f1"))
     assert l3 == validate(bd)
     assert rep.double_fibres == 5
     assert rep.bicanonical_degree == bic.degree == 2
@@ -363,12 +367,12 @@ def test_analyse_report():
     assert rep.K2_minimal == rep.K2_cover + rep.contractions
     assert rep.q == rep.pg + 1 - rep.chi >= 0
     # without a pencil nothing else changes and no fibres are counted
-    assert analyse(bd, CFG7) == (l3, rep.replace(double_fibres=None), bic)
+    assert analyse(bd) == (l3, rep.replace(double_fibres=None), bic)
 
 
 def test_branch_preimage_genus_nonnegative():
     # for valid data, every irreducible preimage has integer genus >= 0
-    for bd in (example1(CFG6), example2(CFG7), example3(CFG7)):
+    for bd in (example1(), example2(), example3()):
         for comp in bd.components:
             pre = branch_preimage(bd, comp.name)
             assert pre.branch_degree % 2 == 0
@@ -437,9 +441,10 @@ def test_moving_branch_curve_is_genus_zero_pencil():
 
 
 def test_component_validation():
-    lat = BlowupLattice(2)
+    two = PointConfiguration(((1, 0, 0), (0, 1, 0)), ())
+    lat = two.lattice
     with pytest.raises(ValueError, match="distinct"):
-        BidoubleData(lat, (
+        BidoubleData(two, (
             BranchComponent("a", DivisorClass(1, (1, 0)), 1),
             BranchComponent("a", DivisorClass(1, (0, 1)), 2),
         ), L1=lat.zero, L2=lat.zero)

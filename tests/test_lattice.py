@@ -199,7 +199,7 @@ def test_class_arithmetic_matches_public_constructor(data):
                       (-A, [-x for x in a]),
                       (k * A, [k * x for x in a]),
                       (A * k, [k * x for x in a]),
-                      (A.lift(2), a + [0, 0])):
+                      (A.lift().lift(), a + [0, 0])):
         public = DivisorClass(want[0], tuple(want[1:]))
         assert got == public and hash(got) == hash(public)
         assert all(type(x) is int for x in got.to_vector())

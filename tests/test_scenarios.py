@@ -69,7 +69,7 @@ def test_run_custom_matches_scenarios():
     from bidouble.covers import analyse
     from bidouble.examples import example2
     cfg = standard_quadrilateral(with_p7=True)
-    expected = analyse(example2(cfg), cfg, cfg.cls("f1"))[1].to_dict()
+    expected = analyse(example2(), cfg.cls("f1"))[1].to_dict()
     assert rep["invariants"] == expected
     assert rep["L3"] == [4, 2, 2, 2, 1, 1, 1, 1]
     assert rep["bicanonical"]["h0_invariant"] == 6
@@ -314,6 +314,21 @@ def test_analysis_computes_each_class_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_document_cover_uses_the_shared_configuration():
+    from bidouble.examples import cover_from_document
+
+    general = {"configuration": "quadrilateral-general-point", "lattice_n": 7,
+               "components": [], "L1": [0] * 8, "L2": [0] * 8}
+    for doc, seed, cfg in (
+            (load_document(data_path("example1.json")), 0,
+             standard_quadrilateral()),
+            (load_document(data_path("example2.json")), 9,
+             standard_quadrilateral(with_p7=True)),
+            (general, 5, standard_quadrilateral(with_general_point=True,
+                                                seed=5))):
+        assert cover_from_document(doc, seed).configuration is cfg
+
+
 def test_contractions_need_no_name_lookup(monkeypatch):
     # each preimage comes from the component in hand, so a branch divisor
     # with many components costs no search by name
@@ -340,11 +355,10 @@ def test_contractions_need_no_name_lookup(monkeypatch):
 
     monkeypatch.setattr(covers.BidoubleData, "component", counting)
     assert run_custom(doc)["invariants"]["contractions"] == 10
-    cfg = standard_quadrilateral(with_p7=True)
-    assert covers.contraction_count(cover_from_document(doc, cfg)) == 10
+    assert covers.contraction_count(cover_from_document(doc)) == 10
     assert lookups == []
     # the counter does see a lookup by name
-    covers.branch_preimage(example2(cfg), "S1")
+    covers.branch_preimage(example2(), "S1")
     assert lookups == ["S1"]
 
 
@@ -653,8 +667,8 @@ def _records():
     from bidouble import covers, examples, plane, scenarios
 
     cfg = standard_quadrilateral(with_p7=True)
-    bd = examples.example2(cfg)
-    _, inv, bic = covers.analyse(bd, cfg, cfg.cls("f1"))
+    bd = examples.example2()
+    _, inv, bic = covers.analyse(bd, cfg.cls("f1"))
     report = scenarios.ScenarioReport("bounds", 3)
     report.add("id", "anchor", (1, 2), (1, 2))
     return {"CurveEntry": cfg.entry("S1"), "PointConfiguration": cfg,
