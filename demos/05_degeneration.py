@@ -1,7 +1,8 @@
 """Dropping K^2 from 7 to 6 by a triple point of the branch locus.
 
 Start from the K^2 = 7 construction, let one member of each conic pencil
-pass through a common general point and resolve by blowing it up.  The
+pass through a common general point -- f2 in D1, f3 in D2 and f1 in D3,
+named in the call to ``resolve_111`` -- and resolve by blowing it up.  The
 minimal model loses exactly one from K^2 and exactly one double fibre:
 the pencil member through the new point picks up the exceptional curve
 with multiplicity 1, so its pullback is no longer divisible by 2.
@@ -13,7 +14,7 @@ from bidouble import (analyse, fibre_multiplicity, resolve_111,
                       standard_quadrilateral)
 from bidouble.examples import example1
 
-bd = example1(degenerating=True)
+bd = example1()
 _, before, _ = analyse(bd, bd.configuration.cls("f1"))
 print("before the degeneration:")
 print(f"  K^2_minimal = {before.K2_minimal}, p_g = {before.pg}, "
@@ -23,7 +24,7 @@ print()
 cfg = standard_quadrilateral(with_general_point=True, seed=0)
 x, y, z = cfg.points[-1]
 print("general point drawn:", tuple(str(Fraction(c, z)) for c in (x, y, z)))
-out = resolve_111(bd, cfg)
+out = resolve_111(bd, cfg, ("f2", "f3", "f1"))
 f1 = cfg.cls("f1")
 _, after, _ = analyse(out, f1)
 print("after blowing it up and adjusting the branch data:")

@@ -34,6 +34,9 @@ branch component or carries even multiplicity.  The general members in
 the branch locus and the reducible members from ``plane.reducible_fibres``
 (read off every negative curve orthogonal to F, with no search) give the
 number of double fibres; other pencil classes are refused.
+
+``resolve_111`` blows up a general point on one named member of each D_i
+(the (1,1,1)-point degeneration), which lowers K^2 of the minimal model by 1.
 """
 
 from __future__ import annotations
@@ -88,21 +91,19 @@ class InvariantConsistencyError(ValueError):
 class BranchComponent(Record):
     """One reduced component of a branch divisor.
 
-    ``branch`` is 1, 2 or 3; ``through_point`` marks a moving component
-    constrained to pass through the configuration's general point (used to
-    set up a (1,1,1)-point degeneration).  ``count`` is the number of
-    members of the class the component stands for.
+    ``branch`` is 1, 2 or 3; ``count`` is the number of members of the
+    class the component stands for.
     """
 
-    __slots__ = ("name", "cls", "branch", "through_point", "count")
+    __slots__ = ("name", "cls", "branch", "count")
 
     def __init__(self, name: str, cls: DivisorClass, branch: int,
-                 through_point: bool = False, count: int = 1):
+                 count: int = 1):
         if branch not in (1, 2, 3):
             raise ValueError("branch index must be 1, 2 or 3")
         if count < 1:
             raise ValueError("count must be >= 1")
-        self._set(name, cls, branch, through_point, count)
+        self._set(name, cls, branch, count)
 
 
 class BidoubleData(Record):
@@ -250,33 +251,36 @@ class InvariantReport(Record):
         return self._asdict()
 
 
-def resolve_111(bd: BidoubleData, cfg: PointConfiguration) -> BidoubleData:
-    """Blow up the general point where all three branch divisors meet.
+def resolve_111(bd: BidoubleData, cfg: PointConfiguration,
+                through: tuple[str, str, str]) -> BidoubleData:
+    """Blow up a general point where all three branch divisors meet.
 
+    ``through`` names the components of D_1, D_2 and D_3, in that order,
+    whose member passes through the point; each must have count 1.
     ``cfg``, on which the result lives, must be the cover's configuration
-    with the general point added as its last centre, in no collinear triple;
-    exactly one component of each D_i must be marked ``through_point``.  The
-    marked components and L_1, L_2 lose the new exceptional class; the
-    exceptional curve joins no branch divisor.
+    with the general point added as its last centre, in no collinear triple.
+    The named components and L_1, L_2 lose the new exceptional class; the
+    exceptional curve joins no branch divisor.  Raises
+    :class:`IncidenceError` when the names do not fit, and ``KeyError`` for
+    a name that is no component.
     """
     if cfg.points[:-1] != bd.configuration.points:
         raise IncidenceError(
             "configuration must be the cover's points plus one extra point")
     if any(cfg.lattice.n in t for t in cfg.collinear_triples):
         raise IncidenceError("the new point lies in some collinear triple")
-    for i in (1, 2, 3):
-        marked = sum(c.count for c in bd.components_of(i) if c.through_point)
-        if marked != 1:
-            raise IncidenceError(
-                f"expected exactly one component of D{i} through the point, "
-                f"found {marked}")
+    named = [bd.component(name) for name in through]
+    if [(c.branch, c.count) for c in named] != [(1, 1), (2, 1), (3, 1)]:
+        raise IncidenceError(
+            "the point must lie on one member each of D1, D2, D3, not on "
+            + ", ".join(f"{c.name} ({c.count} of D{c.branch})" for c in named))
     e_new = cfg.lattice.exceptional(cfg.lattice.n)
     comps = []
     for c in bd.components:
         cls = c.cls.lift()
-        if c.through_point:
+        if c.name in through:
             cls = cls - e_new
-        comps.append(BranchComponent(c.name, cls, c.branch, count=c.count))
+        comps.append(BranchComponent(c.name, cls, c.branch, c.count))
     out = BidoubleData(cfg, tuple(comps),
                        bd.L1.lift() - e_new, bd.L2.lift() - e_new,
                        l_provenance=bd.l_provenance)

@@ -4,15 +4,14 @@ reader of the cover documents they are built from.
 The building data of each construction is read from its shipped document
 ``data/example{1,2,3}.json``, the same file that ``bidouble custom`` runs,
 by :func:`cover_from_document` on the configuration the document names;
-each document is parsed once per process, and each construction built once
-per process and shared.
+each construction is built once per process and shared.
 
 * ``example1`` lives on the 6-point blowup: the branch uses a diagonal, one
   general member of each conic pencil (two of |f1|) and the four sides;
   the minimal model has K^2 = 7 and a genus-3 pencil with 5 double fibres.
-  With ``degenerating=True`` the three pencil members are marked to pass
-  through a common general point, ready for :func:`covers.resolve_111`,
-  after which K^2 drops to 6 and one double fibre is lost.
+  Sending its members f2, f3, f1 of D1, D2, D3 through a general point,
+  ``covers.resolve_111(example1(), cfg, ("f2", "f3", "f1"))`` drops K^2 to
+  6 and loses one double fibre.
 
 * ``example2`` and ``example3`` live on the 7-point blowup at the diagonal
   point P7; both minimal models have K^2 = 6 and 5 double fibres.  The
@@ -28,9 +27,9 @@ from functools import cache
 from operator import index
 from pathlib import Path
 
-from .covers import BidoubleData, BranchComponent
+from .covers import BidoubleData, BranchComponent, IncidenceError
 from .lattice import DivisorClass
-from .plane import PointConfiguration, standard_quadrilateral
+from .plane import PointConfiguration, h0_class, standard_quadrilateral
 
 __all__ = ["example1", "example2", "example3", "halve", "data_path",
            "load_document", "configuration_of", "cover_from_document"]
@@ -87,7 +86,8 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
     multiplicity}], L1, L2} with L1/L2 optional (then derived by exact
     halving).  branch 0 entries are unbranched catalogue declarations and
     are ignored for the cover itself.  multiplicity k becomes the
-    component's count.
+    component's count.  Raises :class:`covers.IncidenceError` when a branch
+    component's class has no sections, so is no curve on the configuration.
     """
     cfg = configuration_of(doc, seed)
     lat = cfg.lattice
@@ -101,8 +101,10 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
         if mult < 1:
             raise ValueError(
                 f"component {raw['name']!r}: multiplicity must be >= 1")
-        comps.append(BranchComponent(raw["name"], cls, branch,
-                                     bool(raw.get("through_point")), mult))
+        if not h0_class(cfg, cls):
+            raise IncidenceError(f"component {raw['name']!r} is no curve on "
+                                 f"the configuration: h^0({cls}) = 0")
+        comps.append(BranchComponent(raw["name"], cls, branch, mult))
     if "L1" in doc and "L2" in doc:
         l1, l2 = lat.from_vector(doc["L1"]), lat.from_vector(doc["L2"])
         provenance = "given"
@@ -115,35 +117,25 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
 
 
 @cache
-def _shipped(n: int) -> dict:
-    # parsed once per process and shared by every caller: never edit it
-    return load_document(data_path(f"example{n}.json"))
-
-
-@cache
-def _cover(n: int, degenerating: bool) -> BidoubleData:
+def _cover(n: int) -> BidoubleData:
     # built once per process and shared by every caller
-    doc = _shipped(n)
-    if degenerating:
-        doc = dict(doc, components=[
-            dict(c, through_point=c["name"] in ("f1", "f2", "f3"))
-            for c in doc["components"]])
-    return cover_from_document(doc)
+    return cover_from_document(load_document(data_path(f"example{n}.json")))
 
 
-def example1(degenerating: bool = False) -> BidoubleData:
+def example1() -> BidoubleData:
     """Branch data D1 = Delta1 + f2 + S1 + S2, D2 = Delta2 + f3,
-    D3 = Delta3 + f1 + f1' + S3 + S4 on the 6-point blowup."""
-    return _cover(1, degenerating)
+    D3 = Delta3 + f1 + f1' + S3 + S4 on the 6-point blowup; its K^2 = 6
+    degeneration is ``covers.resolve_111`` through f2, f3 and f1."""
+    return _cover(1)
 
 
 def example2() -> BidoubleData:
     """Branch data D1 = C + S1 + S2, D2 = f3,
     D3 = f1 + f1' + Delta2bar + Delta3bar + S3 + S4 on the 7-point blowup."""
-    return _cover(2, False)
+    return _cover(2)
 
 
 def example3() -> BidoubleData:
     """Branch data D1 = C + Delta2bar + S1 + S2, D2 = Delta1 + e7,
     D3 = f1 + f1' + Delta3bar + S3 + S4; L1, L2 derived by exact halving."""
-    return _cover(3, False)
+    return _cover(3)

@@ -20,6 +20,8 @@ or 2) and every answer is lattice arithmetic on its negative curves:
 * ``PointConfiguration.negative_entries`` -- every (-1)- and (-2)-curve,
   derived once per configuration on first use; incidence (three points on
   a line, six on a conic) is decided by integer 3x3 determinants;
+* ``PointConfiguration.conic_bundles`` -- every conic bundle (F^2 = 0,
+  K.F = -2, F nef), also derived once per configuration;
 * ``h0_class`` -- h^0 of a divisor class: negative curves meeting the class
   negatively are split off as fixed parts, many copies at a time, and the
   nef residue has h^0 = chi by Riemann-Roch and Kawamata-Viehweg;
@@ -219,6 +221,24 @@ class PointConfiguration(Record):
                      for c in minus_two + minus_one)
 
     @cached_property
+    def conic_bundles(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(degree, mults) of every conic bundle: the nef classes F with
+        F^2 = 0 and -K.F = 2.  On at most seven points each has (degree,
+        double points, simple points) one of those listed below; it is nef
+        when it meets every negative curve non-negatively.  Cached."""
+        n, out = self.lattice.n, []
+        for f_deg, doubles, singles in ((1, 0, 1), (2, 0, 4), (3, 1, 5),
+                                        (4, 3, 4), (5, 6, 1)):
+            for two in itertools.combinations(range(n), doubles):
+                rest = [i for i in range(n) if i not in two]
+                for one in itertools.combinations(rest, singles):
+                    f = tuple(2 if i in two else int(i in one) for i in range(n))
+                    if all(f_deg * c_deg >= sum(map(mul, f, c_mults))
+                           for c_deg, c_mults, _ in self._negative_curves):
+                        out.append((f_deg, f))
+        return tuple(out)
+
+    @cached_property
     def _negative_curves(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
         """(degree, mults, -C^2) of each entry of ``negative_entries``."""
         return tuple((e.cls.degree, e.cls.mults, -e.self_intersection)
@@ -354,39 +374,20 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
     A class with no sections can meet a conic bundle F negatively while
     meeting l and -K non-negatively; the splitting then walks down the
     reducible fibres of F, a little at a time.  So every ``_SCREEN`` = 64
-    steps the residue is also tested against the nef classes with F^2 = 0
-    and -K.F = 2, which ends that walk at once.
+    steps the residue is also tested against ``cfg.conic_bundles``, which
+    ends that walk at once.
     """
     if d.n != cfg.lattice.n:
         raise ValueError("class does not live on the configuration's lattice")
     curves = cfg._negative_curves
-
-    def nef_pencils():
-        # the classes with F^2 = 0 and -K.F = 2 on at most seven points, as
-        # (degree, number of double points, number of simple points)
-        n, out = d.n, []
-        for f_deg, doubles, singles in ((1, 0, 1), (2, 0, 4), (3, 1, 5),
-                                        (4, 3, 4), (5, 6, 1)):
-            for two in itertools.combinations(range(n), doubles):
-                rest = [i for i in range(n) if i not in two]
-                for one in itertools.combinations(rest, singles):
-                    f = tuple(2 if i in two else int(i in one) for i in range(n))
-                    if all(f_deg * c_deg >= sum(map(mul, f, c_mults))
-                           for c_deg, c_mults, _ in curves):
-                        out.append((f_deg, f))
-        return out
-
     deg, mults = d.degree, d.mults
-    pencils = None
     for step in itertools.count(1):
         if deg < 0 or 3 * deg < sum(mults):
             return 0
-        if step % _SCREEN == 0:
-            if pencils is None:
-                pencils = nef_pencils()
-            if any(deg * f_deg < sum(map(mul, mults, f_mults))
-                   for f_deg, f_mults in pencils):
-                return 0
+        if step % _SCREEN == 0 and any(
+                deg * f_deg < sum(map(mul, mults, f_mults))
+                for f_deg, f_mults in cfg.conic_bundles):
+            return 0
         for c_deg, c_mults, c_neg in curves:
             meet = deg * c_deg - sum(map(mul, mults, c_mults))
             if meet < 0:
@@ -436,11 +437,11 @@ def _coefficients(columns, target) -> list[int] | None:
 def reducible_fibres(cfg: PointConfiguration, F: DivisorClass):
     """Every reducible member of the conic bundle |F|.
 
-    F must be a conic bundle: F^2 = 0, K.F = -2 and F.C >= 0 for every
-    negative curve C (then |F| is a base-point-free pencil of conics);
-    otherwise ``ValueError``.  A component of a reducible member meets F in
-    0 and has negative self-intersection, so the members are read off the
-    entries of ``negative_entries`` orthogonal to F, with no search: by
+    F must be one of ``cfg.conic_bundles``: F^2 = 0, K.F = -2 and F.C >= 0
+    for every negative curve C (then |F| is a base-point-free pencil of
+    conics); otherwise ``ValueError``.  A component of a reducible member
+    meets F in 0 and has negative self-intersection, so the members are read
+    off the entries of ``negative_entries`` orthogonal to F, with no search: by
     Zariski's lemma each connected component of those curves (C.C' > 0)
     is the support of exactly one member.  Its curves are linearly
     independent, so the coefficients a_i with sum a_i C_i = F are unique;
@@ -459,21 +460,19 @@ def reducible_fibres(cfg: PointConfiguration, F: DivisorClass):
     if F.n != cfg.lattice.n:
         raise ValueError("class does not live on the configuration's lattice")
     deg, mults = F.degree, F.mults
-    curves = cfg._negative_curves
-    meets = [deg * c_deg - sum(map(mul, mults, c_mults))
-             for c_deg, c_mults, _ in curves]
-    if deg * deg != sum(map(mul, mults, mults)) or 3 * deg - sum(mults) != 2 \
-            or min(meets, default=0) < 0:
+    if (deg, mults) not in cfg.conic_bundles:
         raise ValueError(
             f"pencil class {F} is not a conic bundle: it must have "
             "self-intersection 0, K-degree -2 and meet every negative curve "
             "non-negatively")
+    curves = cfg._negative_curves
+    left = [i for i, (c_deg, c_mults, _) in enumerate(curves)
+            if deg * c_deg == sum(map(mul, mults, c_mults))]
 
     def meet(i, j):
         (d, m, _), (e, n, _) = curves[i], curves[j]
         return d * e - sum(map(mul, m, n))
 
-    left = [i for i, m in enumerate(meets) if m == 0]
     members = []
     while left:
         support = [left.pop(0)]

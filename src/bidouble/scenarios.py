@@ -172,7 +172,7 @@ def _scenario_example1(rep: ScenarioReport) -> None:
 
 def _scenario_example1_degenerate(rep: ScenarioReport) -> None:
     cfg = standard_quadrilateral(with_general_point=True, seed=rep.seed)
-    bd = covers.resolve_111(examples.example1(degenerating=True), cfg)
+    bd = covers.resolve_111(examples.example1(), cfg, ("f2", "f3", "f1"))
     f1 = cfg.cls("f1")
     _, inv, bic = covers.analyse(bd, f1)
     rep.add("valid", "the resolved building data still validates", True, True)

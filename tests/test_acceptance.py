@@ -44,9 +44,8 @@ def test_criterion_1_example1():
 
 
 def test_criterion_2_example1_degeneration():
-    bd = example1(degenerating=True)
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
-    out = resolve_111(bd, cfg)
+    out = resolve_111(example1(), cfg, ("f2", "f3", "f1"))
     validate(out)
     rep = analyse(out)[1]
     assert rep.K2_minimal == 6

@@ -91,8 +91,7 @@ CATALOGUE_PENCILS = {
         [2, 1, 1, 1, 1, 0, 0, 0], [4, 2, 1, 2, 1, 1, 1, 2]],
 }
 COMPONENT_EDITS = {"name": TEXT, "branch": st.integers(-1, 4),
-                   "multiplicity": st.integers(-1, 3),
-                   "through_point": st.booleans()}
+                   "multiplicity": st.integers(-1, 3)}
 
 
 def _edit_cover(doc, data):

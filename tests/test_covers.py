@@ -97,7 +97,6 @@ def test_examples_read_each_shipped_document_once(monkeypatch):
         return real(path)
 
     monkeypatch.setattr(examples, "load_document", counting)
-    examples._shipped.cache_clear()
     examples._cover.cache_clear()
     for _ in range(3):
         # each lives on the configuration its document names
@@ -106,10 +105,6 @@ def test_examples_read_each_shipped_document_once(monkeypatch):
         assert example3().configuration is CFG7
     assert sorted(p.name for p in reads) == \
         ["example1.json", "example2.json", "example3.json"]
-    marked = {c.name for c in example1(degenerating=True).components
-              if c.through_point}
-    assert marked == {"f1", "f2", "f3"}
-    assert not any(c.through_point for c in example1().components)
 
 
 def test_invariants_example1():
@@ -181,10 +176,14 @@ def test_branch_preimage_corrupt_inputs():
         branch_preimage(bad2, "a")
 
 
+# the members of D1, D2, D3 of example 1 sent through the general point
+THROUGH = ("f2", "f3", "f1")
+
+
 def test_resolve_111():
-    bd = example1(degenerating=True)
+    bd = example1()
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
-    out = resolve_111(bd, cfg)
+    out = resolve_111(bd, cfg, THROUGH)
     assert validate(out).to_vector() == [4, 2, 2, 2, 1, 1, 1, 1]
     assert out.component("f1").cls == DivisorClass(2, (0, 1, 0, 1, 1, 1, 1))
     assert out.component("f1p").cls == DivisorClass(2, (0, 1, 0, 1, 1, 1, 0))
@@ -194,25 +193,43 @@ def test_resolve_111():
 
 
 def test_resolve_111_preserves_chi_pg_drops_k2():
-    bd = example1(degenerating=True)
+    bd = example1()
     before = analyse(bd)[1]
     cfg = standard_quadrilateral(with_general_point=True, seed=1)
-    after = analyse(resolve_111(bd, cfg))[1]
+    after = analyse(resolve_111(bd, cfg, THROUGH))[1]
     assert after.chi == before.chi and after.pg == before.pg
     assert after.K2_minimal == before.K2_minimal - 1
 
 
+def test_resolve_111_through_either_member_of_f1():
+    # f1 and f1p are two members of one pencil in D3: either may pass the
+    # point, and the resolved covers have the same report
+    cfg = standard_quadrilateral(with_general_point=True, seed=0)
+    f1 = cfg.cls("f1")
+    via_f1 = resolve_111(example1(), cfg, THROUGH)
+    via_f1p = resolve_111(example1(), cfg, ("f2", "f3", "f1p"))
+    assert via_f1p.component("f1p").cls == via_f1.component("f1").cls
+    assert analyse(via_f1p, f1)[1:] == analyse(via_f1, f1)[1:]
+
+
 def test_resolve_111_incidence_errors():
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
-    # only two branch divisors meet the point
     bd = example1()
-    comps = tuple(c.replace(through_point=c.name in ("f2", "f3"))
+    # two names from D1 (and none from D2), or too few names
+    for through in (("f2", "Delta1", "f1"), ("Delta1", "f2", "f1"),
+                    ("f2", "f3")):
+        with pytest.raises(IncidenceError):
+            resolve_111(bd, cfg, through)
+    # f1 standing for two members: only one of them can pass the point
+    comps = tuple(c.replace(count=2) if c.name == "f1" else c
                   for c in bd.components)
-    with pytest.raises(IncidenceError):
-        resolve_111(bd.replace(components=comps), cfg)
+    with pytest.raises(IncidenceError, match="f1 \\(2 of D3\\)"):
+        resolve_111(bd.replace(components=comps), cfg, THROUGH)
+    with pytest.raises(KeyError, match="f4"):
+        resolve_111(bd, cfg, ("f2", "f3", "f4"))
     # no extra point in the configuration
     with pytest.raises(IncidenceError):
-        resolve_111(example1(degenerating=True), CFG6)
+        resolve_111(bd, CFG6, THROUGH)
     # an extra point in a collinear triple: P7, on both diagonals, and
     # (1:0:2), on Delta1 = P1P3
     on_delta1 = PointConfiguration(CFG6.points + ((1, 0, 2),), ())
@@ -220,7 +237,7 @@ def test_resolve_111_incidence_errors():
         frozenset((1, 3, 7))}
     for cfg in (CFG7, on_delta1):
         with pytest.raises(IncidenceError, match="collinear triple"):
-            resolve_111(example1(degenerating=True), cfg)
+            resolve_111(example1(), cfg, THROUGH)
 
 
 def test_resolve_111_refuses_a_reordered_configuration():
@@ -232,8 +249,8 @@ def test_resolve_111_refuses_a_reordered_configuration():
     points[0], points[2] = points[2], points[0]
     swapped = PointConfiguration(tuple(points), general.entries)
     with pytest.raises(IncidenceError, match="points plus one extra point"):
-        resolve_111(example1(degenerating=True), swapped)
-    out = resolve_111(example1(degenerating=True), general)
+        resolve_111(example1(), swapped, THROUGH)
+    out = resolve_111(example1(), general, THROUGH)
     assert out.configuration is general
     assert count_double_fibres(out, general.cls("f1")) == 4
 
@@ -284,9 +301,8 @@ def test_count_double_fibres():
     assert count_double_fibres(example1(), CFG6.cls("f1")) == 5
     assert count_double_fibres(example2(), CFG7.cls("f1")) == 5
     assert count_double_fibres(example3(), CFG7.cls("f1")) == 5
-    bd = example1(degenerating=True)
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
-    out = resolve_111(bd, cfg)
+    out = resolve_111(example1(), cfg, THROUGH)
     assert count_double_fibres(out, cfg.cls("f1")) == 4
 
 

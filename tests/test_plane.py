@@ -483,6 +483,26 @@ def test_reducible_fibres_refuse_other_classes():
         reducible_fibres(cfg, DivisorClass(2, (0, 1, 0, 1, 1, 1)))
 
 
+def test_conic_bundles_match_a_brute_force():
+    # every class of degree 0..6 and multiplicities -1..2 with F^2 = 0 and
+    # -K.F = 2 that meets each negative curve non-negatively
+    general = [standard_quadrilateral(with_general_point=True, seed=s)
+               for s in (0, 37)]
+    for cfg, size in ((standard_quadrilateral(), 9),
+                      (standard_quadrilateral(with_p7=True), 19),
+                      (general[0], 35), (general[1], 35)):
+        brute = {(d, m) for d in range(7)
+                 for m in itertools.product(range(-1, 3), repeat=cfg.lattice.n)
+                 if d * d == sum(x * x for x in m) and 3 * d - sum(m) == 2
+                 and all(DivisorClass(d, m).dot(e.cls) >= 0
+                         for e in cfg.negative_entries)}
+        assert len(cfg.conic_bundles) == size
+        assert set(cfg.conic_bundles) == brute
+        pencils = {(e.cls.degree, e.cls.mults) for e in cfg.entries
+                   if e.kind == "pencil"}
+        assert pencils <= brute
+
+
 def test_interpolation_dimension_standalone():
     # raw-point interface used by the random suites
     pts = [(Fraction(1), Fraction(0), Fraction(0)),

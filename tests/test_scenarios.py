@@ -271,6 +271,18 @@ def test_cli_custom_refuses_pencils_that_are_not_conic_bundles(tmp_path, capsys)
     assert "not a conic bundle" in err
 
 
+def test_cli_custom_refuses_a_component_that_is_no_curve(tmp_path, capsys):
+    # on the general point Delta2bar = l-e2-e4-e7 has no sections; the run
+    # used to reach analyse and exit 1 with a false P2 mismatch
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(_edited("example2.json", ("configuration",),
+                                       "quadrilateral-general-point")))
+    assert main(["custom", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert "'Delta2bar' is no curve" in err
+
+
 def test_cli_custom_consistency_failure_exits_1(monkeypatch, capsys):
     from bidouble import covers
 
