@@ -1,8 +1,8 @@
 """A bidouble cover with K^2 = 6 and p_g = 0, end to end.
 
 The branch data lives on the plane blown up at the six quadrilateral
-points and at the diagonal point P7.  Validation checks the two cover
-relations exactly; then every invariant of the construction falls out of
+points and at the diagonal point P7.  Building the data checks the two
+cover relations exactly; then every invariant of the construction falls out of
 integer arithmetic: lattice arithmetic on the negative curves of the
 blowup, and bracket determinants of the points for incidence.
 """
@@ -14,12 +14,12 @@ bd = example2()
 
 print("branch divisors:")
 for i in (1, 2, 3):
-    comps = ", ".join(c.name for c in bd.components_of(i))
+    comps = ", ".join(c.name for c in bd.components if c.branch == i)
     print(f"  D{i} = {comps}   (class {bd.branch_class(i)})")
 print("L1 =", bd.L1)
 print("L2 =", bd.L2)
-l3, rep, bic = analyse(bd, bd.configuration.cls("f1"))
-print("L3 =", l3, "  (derived; both cover relations hold exactly)")
+rep = analyse(bd, bd.configuration.cls("f1"))
+print("L3 =", bd.L3, "  (derived; both cover relations hold exactly)")
 print()
 
 print(f"chi = {rep.chi}   p_g = {rep.pg}   q = {rep.q}")
@@ -39,11 +39,11 @@ for comp in bd.components:
               f"genus {pre.genus}, square {pre.self_intersection}")
 print()
 
-print(f"bicanonical space: {bic.h0_invariant} invariant sections plus "
-      f"character dimensions {list(bic.h0_characters)} (total "
-      f"P2 = {bic.total})")
-print(f"the map has degree {bic.degree}; the bicanonical involution is "
-      f"number {bic.involution_index}")
+print(f"bicanonical space: {rep.h0_invariant} invariant sections plus "
+      f"character dimensions {list(rep.h0_characters)} (total "
+      f"P2 = {rep.P2})")
+print(f"the map has degree {rep.bicanonical_degree}; the bicanonical "
+      f"involution is number {rep.involution_index}")
 print()
 
 print(f"the genus-3 pencil pulled back from |f1| has {rep.double_fibres} "

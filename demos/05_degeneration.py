@@ -15,7 +15,7 @@ from bidouble import (analyse, fibre_multiplicity, resolve_111,
 from bidouble.examples import example1
 
 bd = example1()
-_, before, _ = analyse(bd, bd.configuration.cls("f1"))
+before = analyse(bd, bd.configuration.cls("f1"))
 print("before the degeneration:")
 print(f"  K^2_minimal = {before.K2_minimal}, p_g = {before.pg}, "
       f"double fibres = {before.double_fibres}")
@@ -26,7 +26,7 @@ x, y, z = cfg.points[-1]
 print("general point drawn:", tuple(str(Fraction(c, z)) for c in (x, y, z)))
 out = resolve_111(bd, cfg, ("f2", "f3", "f1"))
 f1 = cfg.cls("f1")
-_, after, _ = analyse(out, f1)
+after = analyse(out, f1)
 print("after blowing it up and adjusting the branch data:")
 print(f"  K^2_minimal = {after.K2_minimal}, p_g = {after.pg}, "
       f"double fibres = {after.double_fibres}")

@@ -11,11 +11,11 @@ _EXPORTS = {  # home module -> the public names it gives the package
         h0_fat_points reducible_fibres standard_quadrilateral""",
     "codes": """BinaryCode EnumerationCapError NodalInputError code_of_classes
         de_code is_doubly_even isotropy_bound isotropy_bound_holds weights""",
-    "covers": """BicanonicalDecomposition BidoubleData BranchComponent
-        BranchPreimage IncidenceError InvariantConsistencyError InvariantReport
-        RelationError analyse branch_preimage contraction_count
-        count_double_fibres double_cover_chi etale_double fibre_multiplicity
-        numeri_identities resolve_111 slope_check validate""",
+    "covers": """BidoubleData BranchComponent BranchPreimage IncidenceError
+        InvariantConsistencyError InvariantReport RelationError analyse
+        branch_preimage contraction_count count_double_fibres double_cover_chi
+        etale_double fibre_multiplicity numeri_identities resolve_111
+        slope_check""",
     "examples": "example1 example2 example3 halve",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -118,7 +118,7 @@ def _cmd_custom(args) -> int:
     except (RelationError, InvariantConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except IncidenceError as exc:  # well-formed, but no curve or not smooth
+    except IncidenceError as exc:  # well-formed, but no valid cover
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, TypeError, ValueError) as exc:

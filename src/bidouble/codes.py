@@ -97,6 +97,8 @@ class BinaryCode:
 
     def __init__(self, length: int, generators=()):
         self.length = index(length)
+        if self.length < 0:
+            raise ValueError(f"code length must be >= 0, not {self.length}")
         self.generators = _rref2(_bits(row, self.length) for row in generators)
 
     @property

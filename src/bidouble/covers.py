@@ -16,17 +16,17 @@ With D := D_1 + D_2 + D_3 the cover X has
 
 and the double of the canonical class pulls back from 2K + D, so the
 bicanonical space decomposes into h^0(2K+D) plus the three character
-summands h^0(2K+D-L_i).  The building data carries its configuration,
+summands h^0(2K+D-L_i).  Building data is checked when it is built, so
+every ``BidoubleData`` is a valid cover, and it carries its configuration,
 so every h^0 is taken on the surface the cover was built on.  ``analyse``
-computes all of this once per construction: seven h^0 (three adjoint, one
-invariant, three character classes), the contraction bookkeeping and,
-given a pencil, the double fibres.
+returns one report: seven h^0 (three adjoint, one invariant, three
+character classes), the contraction bookkeeping and the double fibres.
 
 Each smooth rational branch component G in D_i is covered by a double
-cover branched at b = G.(D_j + D_k) points: for b = 0 it splits into two
-disjoint curves of self-intersection G^2/2 (the (-1)-pairs among these are
-contracted to reach the minimal model), for b > 0 it stays irreducible of
-genus b/2 - 1 with self-intersection G^2.
+cover branched at b = G.(D_j + D_k) = 2 G.L_i points: for b = 0 it splits
+into two disjoint curves of self-intersection G^2/2 (the (-1)-pairs among
+these are contracted to reach the minimal model), for b > 0 it stays
+irreducible of genus b/2 - 1 with self-intersection G^2.
 
 A member of a conic-bundle pencil |F| (F^2 = 0, K.F = -2, F nef) pulls
 back with multiplicity 2 exactly when each of its components is either a
@@ -41,9 +41,7 @@ number of double fibres; other pencil classes are refused.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
-from math import comb, prod
 
 from .lattice import BlowupLattice, DivisorClass, Record
 from .plane import PointConfiguration, h0_class, reducible_fibres
@@ -56,8 +54,6 @@ __all__ = [
     "BidoubleData",
     "BranchPreimage",
     "InvariantReport",
-    "BicanonicalDecomposition",
-    "validate",
     "branch_preimage",
     "contraction_count",
     "resolve_111",
@@ -108,7 +104,12 @@ class BranchComponent(Record):
 
 class BidoubleData(Record):
     """Branch components plus the classes L_1, L_2 of a bidouble cover of
-    the blowup at the points of ``configuration``."""
+    the blowup at the points of ``configuration``.
+
+    Raises :class:`RelationError` with the residue of each violated cover
+    relation, then :class:`IncidenceError` when two components of one D_i
+    meet (a class listed twice unless C^2 = 0) or a class of negative
+    square lies in two D_i, so that D is not reduced."""
 
     __slots__ = ("configuration", "components", "L1", "L2", "l_provenance",
                  "__dict__")
@@ -126,20 +127,42 @@ class BidoubleData(Record):
             if cls.n != configuration.lattice.n:
                 raise ValueError(f"{lname} lives on the wrong lattice")
         self._set(configuration, components, L1, L2, l_provenance)
+        d1, d2, d3 = self._branch_classes
+        residues = [(relation, r) for relation, r in (
+            ("2L1 - (D2+D3)", 2 * L1 - (d2 + d3)),
+            ("2L2 - (D1+D3)", 2 * L2 - (d1 + d3))) if r != self.lattice.zero]
+        if residues:
+            raise RelationError(residues)
+        tally = list(self._tally.items())
+        for j, ((i, a), n) in enumerate(tally):
+            for (k, b), _ in tally[j + (n == 1):]:
+                if k == i and a.dot(b):
+                    raise IncidenceError(
+                        f"D{i} is not smooth: its components {a} and {b} "
+                        f"have intersection {a.dot(b)}")
+                if k != i and a == b and a.dot(a) < 0:
+                    raise IncidenceError(
+                        f"the rigid curve {a} lies in both D{i} and D{k}, "
+                        "so D is not reduced")
 
     @property
     def lattice(self) -> BlowupLattice:
         return self.configuration.lattice
 
-    def components_of(self, i: int) -> tuple[BranchComponent, ...]:
-        return tuple(c for c in self.components if c.branch == i)
+    @cached_property
+    def _tally(self) -> dict[tuple[int, DivisorClass], int]:
+        """(branch, class) -> number of members, over all components."""
+        tally = {}
+        for c in self.components:
+            tally[c.branch, c.cls] = tally.get((c.branch, c.cls), 0) + c.count
+        return tally
 
     @cached_property
     def _branch_classes(self) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
         """(D_1, D_2, D_3), summed once."""
         totals = [self.lattice.zero] * 3
-        for c in self.components:
-            totals[c.branch - 1] += c.cls if c.count == 1 else c.count * c.cls
+        for (i, cls), n in self._tally.items():
+            totals[i - 1] += cls if n == 1 else n * cls
         return tuple(totals)
 
     def branch_class(self, i: int) -> DivisorClass:
@@ -150,43 +173,16 @@ class BidoubleData(Record):
         d1, d2, d3 = self._branch_classes
         return d1 + d2 + d3
 
+    @cached_property
+    def L3(self) -> DivisorClass:
+        """The derived L_3 = L_1 + L_2 - D_3, with 2L_3 = D_1 + D_2."""
+        return self.L1 + self.L2 - self._branch_classes[2]
+
     def component(self, name: str) -> BranchComponent:
         for c in self.components:
             if c.name == name:
                 return c
         raise KeyError(f"no branch component named {name!r}")
-
-
-def validate(bd: BidoubleData) -> DivisorClass:
-    """Check both cover relations exactly, then that each D_i is smooth,
-    and return the derived L_3.
-
-    Raises :class:`RelationError` listing each violated relation with the
-    offending residue class, then :class:`IncidenceError` when two
-    components of one D_i meet (a class listed twice unless C^2 = 0).
-    """
-    d1, d2, d3 = (bd.branch_class(i) for i in (1, 2, 3))
-    residues = []
-    r1 = 2 * bd.L1 - (d2 + d3)
-    if r1 != bd.lattice.zero:
-        residues.append(("2L1 - (D2+D3)", r1))
-    r2 = 2 * bd.L2 - (d1 + d3)
-    if r2 != bd.lattice.zero:
-        residues.append(("2L2 - (D1+D3)", r2))
-    if residues:
-        raise RelationError(residues)
-    counts = {}
-    for c in bd.components:
-        key = c.branch, c.cls
-        counts[key] = counts.get(key, 0) + c.count
-    distinct = list(counts)
-    for j, (i, a) in enumerate(distinct):
-        for k, b in distinct[j + (counts[i, a] == 1):]:
-            if k == i and a.dot(b):
-                raise IncidenceError(
-                    f"D{i} is not smooth: its components {a} and {b} "
-                    f"have intersection {a.dot(b)}")
-    return bd.L1 + bd.L2 - d3
 
 
 class BranchPreimage(Record):
@@ -215,10 +211,6 @@ def _preimage(bd: BidoubleData, comp: BranchComponent) -> BranchPreimage:
     name = comp.name
     b = comp.cls.dot(bd.branch_total - bd.branch_class(comp.branch))
     sq = comp.cls.dot(comp.cls)
-    if b % 2 != 0:
-        raise ValueError(
-            f"component {name} meets the other branch divisors oddly (b={b}); "
-            "the building data is corrupt")
     if b == 0:
         if sq % 2 != 0:
             raise ValueError(
@@ -236,19 +228,32 @@ def contraction_count(bd: BidoubleData) -> int:
 
 
 class InvariantReport(Record):
-    """Numerical invariants of the cover and of its minimal model."""
+    """Numerical invariants of the cover and of its minimal model, with the
+    character decomposition of the bicanonical space."""
 
     __slots__ = ("chi", "K2_cover", "pg", "q", "contractions", "K2_minimal",
-                 "double_fibres", "bicanonical_degree", "involution_index")
+                 "double_fibres", "bicanonical_degree", "involution_index",
+                 "h0_invariant", "h0_characters")
 
     def __init__(self, chi: int, K2_cover: int, pg: int, q: int,
                  contractions: int, K2_minimal: int, double_fibres: int | None,
-                 bicanonical_degree: int | None, involution_index: int | None):
+                 bicanonical_degree: int | None,  # 2 when the map factors
+                 involution_index: int | None,    # through gamma_i
+                 h0_invariant: int, h0_characters: tuple[int, int, int]):
         self._set(chi, K2_cover, pg, q, contractions, K2_minimal,
-                  double_fibres, bicanonical_degree, involution_index)
+                  double_fibres, bicanonical_degree, involution_index,
+                  h0_invariant, h0_characters)
+
+    @property
+    def P2(self) -> int:
+        """The bigenus: the invariant and character summands together."""
+        return self.h0_invariant + sum(self.h0_characters)
 
     def to_dict(self) -> dict:
-        return self._asdict()
+        """The invariants, without the h^0 of the bicanonical summands."""
+        out = self._asdict()
+        del out["h0_invariant"], out["h0_characters"]
+        return out
 
 
 def resolve_111(bd: BidoubleData, cfg: PointConfiguration,
@@ -281,11 +286,9 @@ def resolve_111(bd: BidoubleData, cfg: PointConfiguration,
         if c.name in through:
             cls = cls - e_new
         comps.append(BranchComponent(c.name, cls, c.branch, c.count))
-    out = BidoubleData(cfg, tuple(comps),
-                       bd.L1.lift() - e_new, bd.L2.lift() - e_new,
-                       l_provenance=bd.l_provenance)
-    validate(out)
-    return out
+    return BidoubleData(cfg, tuple(comps),
+                        bd.L1.lift() - e_new, bd.L2.lift() - e_new,
+                        l_provenance=bd.l_provenance)
 
 
 def fibre_multiplicity(bd: BidoubleData, member, pencil: DivisorClass) -> int:
@@ -300,10 +303,8 @@ def fibre_multiplicity(bd: BidoubleData, member, pencil: DivisorClass) -> int:
     total = bd.lattice.zero
     for cls, mult, branch in member:
         total = total + mult * cls
-        if branch is not None:
-            if not any(c.cls == cls for c in bd.components_of(branch)):
-                raise ValueError(
-                    f"no component of D{branch} has class {cls}")
+        if branch is not None and (branch, cls) not in bd._tally:
+            raise ValueError(f"no component of D{branch} has class {cls}")
     if total != pencil:
         raise ValueError(
             f"member sums to {total}, not to the pencil class {pencil}")
@@ -317,64 +318,34 @@ def count_double_fibres(bd: BidoubleData, pencil: DivisorClass) -> int:
 
     Each branch component of the pencil's class is a general member (so two
     general members of the same pencil count twice).  A reducible member
-    whose components all have branch classes counts once per choice of
-    branch components for them, a component of coefficient a with m
-    branch components of its class giving multichoose(m, a) choices; any
-    other reducible member counts when its unbranched components all carry
-    even multiplicity.  Raises ``ValueError`` unless the pencil is a conic
-    bundle (F^2 = 0, K.F = -2, F nef), before any other work.
+    counts once when its unbranched components all carry even
+    multiplicity: its components are rigid curves, and a valid cover lists
+    each rigid curve at most once.  Raises ``ValueError`` unless the pencil
+    is a conic bundle (F^2 = 0, K.F = -2, F nef), before any other work.
     """
     members = reducible_fibres(bd.configuration, pencil)
-    branched = Counter()
-    for c in bd.components:
-        branched[c.cls] = branched.get(c.cls, 0) + c.count
-    count = branched[pencil]
+    branched = {cls for _, cls in bd._tally}
+    count = sum(n for (_, cls), n in bd._tally.items() if cls == pencil)
     for member in members:
-        if all(branched[e.cls] for e, _ in member):
-            count += prod(comb(branched[e.cls] + a - 1, a) for e, a in member)
-        elif all(branched[e.cls] or a % 2 == 0 for e, a in member):
+        if all(a % 2 == 0 or e.cls in branched for e, a in member):
             count += 1
     return count
 
 
-class BicanonicalDecomposition(Record):
-    """Character decomposition of the bicanonical space of the cover."""
-
-    __slots__ = ("h0_invariant", "h0_characters", "total", "degree",
-                 "involution_index")
-
-    def __init__(self, h0_invariant: int, h0_characters: tuple[int, int, int],
-                 total: int,               # equals chi + K^2_minimal
-                 degree: int | None,       # 2 when the map factors through gamma_i
-                 involution_index: int | None):
-        self._set(h0_invariant, h0_characters, total, degree, involution_index)
-
-    def to_dict(self) -> dict:
-        return {
-            "h0_invariant": self.h0_invariant,
-            "h0_characters": list(self.h0_characters),
-            "total": self.total,
-            "degree": self.degree,
-            "involution_index": self.involution_index,
-        }
-
-
 def analyse(bd: BidoubleData, pencil: DivisorClass | None = None,
-            ) -> tuple[DivisorClass, InvariantReport, BicanonicalDecomposition]:
-    """Validate the data once and compute every invariant of the cover.
+            ) -> InvariantReport:
+    """Compute every invariant of the cover, in one report.
 
-    Returns (L_3, report, bicanonical decomposition).  Assumes the base is
-    rational (chi(O)=1, p_g=0): p_g is the sum of h^0(K+L_i), and the
-    bicanonical space splits into h^0(2K+D) and the character summands
-    h^0(2K+D-L_i).  Their total must equal chi + K^2_minimal; a mismatch
-    means the building data is inconsistent and raises
-    :class:`InvariantConsistencyError`.  The map has degree 2 through the
+    Assumes the base is rational (chi(O)=1, p_g=0): p_g is the sum of
+    h^0(K+L_i), and the bicanonical space splits into h^0(2K+D) and the
+    character summands h^0(2K+D-L_i).  Their total, ``P2``, must equal
+    chi + K^2_minimal; a mismatch means the building data is inconsistent
+    and raises :class:`InvariantConsistencyError`.  The map has degree 2 through the
     involution gamma_i exactly when one character summand is 1 and the
     other two vanish, the invariant part carrying the map.  With a pencil,
     its double fibres are counted as in :func:`count_double_fibres`.
     """
-    l3 = validate(bd)
-    ls = (bd.L1, bd.L2, l3)
+    ls = (bd.L1, bd.L2, bd.L3)
     cfg = bd.configuration
     k = cfg.lattice.canonical
     chi = 4 + sum((L.dot(L) + L.dot(k)) // 2 for L in ls)
@@ -395,12 +366,11 @@ def analyse(bd: BidoubleData, pencil: DivisorClass | None = None,
         degree = 2
         involution = chars.index(1) + 1
     fibres = None if pencil is None else count_double_fibres(bd, pencil)
-    report = InvariantReport(chi=chi, K2_cover=k2_cover, pg=pg, q=pg + 1 - chi,
-                             contractions=contractions, K2_minimal=k2_minimal,
-                             double_fibres=fibres, bicanonical_degree=degree,
-                             involution_index=involution)
-    return l3, report, BicanonicalDecomposition(inv, chars, total, degree,
-                                                involution)
+    return InvariantReport(chi=chi, K2_cover=k2_cover, pg=pg, q=pg + 1 - chi,
+                           contractions=contractions, K2_minimal=k2_minimal,
+                           double_fibres=fibres, bicanonical_degree=degree,
+                           involution_index=involution, h0_invariant=inv,
+                           h0_characters=chars)
 
 
 # ---------------------------------------------------------------------------

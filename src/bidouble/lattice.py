@@ -184,9 +184,11 @@ class BlowupLattice(Record):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        if n < 0:
+        if not hasattr(n, "__index__"):  # what operator.index accepts
+            raise ValueError(f"number of exceptional classes {n!r} is no integer")
+        if index(n) < 0:
             raise ValueError("number of exceptional classes must be >= 0")
-        self._set(n)
+        self._set(index(n))
 
     @property
     def rank(self) -> int:

@@ -1,11 +1,11 @@
 """Reproducible verification scenarios wiring all modules together.
 
-Each scenario runs a full pipeline (configuration -> building data ->
-``covers.analyse``: validation, invariants, bicanonical decomposition and
-fibres, each computed once) and compares every computed quantity against
-its pinned expectation.  A check carries an ``anchor``: a one-line
-statement of the claim being verified, so a failing report points
-directly at the contradicted claim.
+Each scenario runs a full pipeline (configuration -> building data, valid
+by construction -> ``covers.analyse``: invariants, bicanonical
+decomposition and fibres, each computed once, in one report) and compares
+every computed quantity against its pinned expectation.  A check carries
+an ``anchor``: a one-line statement of the claim being verified, so a
+failing report points directly at the contradicted claim.
 
 The example scenarios build their data with ``examples``, which reads it
 from the shipped cover documents ``data/example{1,2,3}.json``.
@@ -24,7 +24,8 @@ import json
 from functools import cached_property
 
 from . import covers, examples
-from .examples import cover_from_document, data_path, load_document
+from .examples import (configuration_of, cover_from_document, data_path,
+                       load_document)
 from .lattice import (BlowupLattice, DivisorClass, Record, arithmetic_genus,
                       castelnuovo_bound, riemann_roch_chi)
 from .plane import h0_class, standard_quadrilateral
@@ -126,7 +127,7 @@ class ScenarioReport(Record):
 # scenario bodies
 
 
-def _report_checks(rep: ScenarioReport, label: str, inv, bic, expect):
+def _report_checks(rep: ScenarioReport, label: str, inv, expect):
     rep.add(f"{label}-chi", "chi(O) of the cover equals 1", expect["chi"], inv.chi)
     rep.add(f"{label}-pg", "geometric genus of the cover vanishes",
             expect["pg"], inv.pg)
@@ -144,21 +145,21 @@ def _report_checks(rep: ScenarioReport, label: str, inv, bic, expect):
     rep.add(f"{label}-bicanonical",
             "the bicanonical space splits as invariant part plus one "
             "character line", expect["bicanonical"],
-            [bic.h0_invariant, list(bic.h0_characters)])
+            [inv.h0_invariant, list(inv.h0_characters)])
     rep.add(f"{label}-P2", f"P_2 = chi + K^2_minimal = {expect['P2']}",
-            expect["P2"], bic.total)
+            expect["P2"], inv.P2)
     rep.add(f"{label}-involution",
             "the bicanonical map has degree 2 through the first involution",
-            [2, 1], [bic.degree, bic.involution_index])
+            [2, 1], [inv.bicanonical_degree, inv.involution_index])
 
 
 def _scenario_example1(rep: ScenarioReport) -> None:
     bd = examples.example1()
-    l3, inv, bic = covers.analyse(bd, bd.configuration.cls("f1"))
+    inv = covers.analyse(bd, bd.configuration.cls("f1"))
     rep.add("valid", "2L1 = D2+D3 and 2L2 = D1+D3 hold exactly", True, True)
     rep.add("L3", "L3 = 4l-2e1-2e2-2e3-e4-e5-e6",
-            [4, 2, 2, 2, 1, 1, 1], l3.to_vector())
-    _report_checks(rep, "ex1", inv, bic, {
+            [4, 2, 2, 2, 1, 1, 1], bd.L3.to_vector())
+    _report_checks(rep, "ex1", inv, {
         "chi": 1, "pg": 0, "K2_cover": -1, "contractions": 8, "K2_minimal": 7,
         "double_fibres": 5, "bicanonical": [7, [1, 0, 0]], "P2": 8,
     })
@@ -174,9 +175,9 @@ def _scenario_example1_degenerate(rep: ScenarioReport) -> None:
     cfg = standard_quadrilateral(with_general_point=True, seed=rep.seed)
     bd = covers.resolve_111(examples.example1(), cfg, ("f2", "f3", "f1"))
     f1 = cfg.cls("f1")
-    _, inv, bic = covers.analyse(bd, f1)
+    inv = covers.analyse(bd, f1)
     rep.add("valid", "the resolved building data still validates", True, True)
-    _report_checks(rep, "ex1deg", inv, bic, {
+    _report_checks(rep, "ex1deg", inv, {
         "chi": 1, "pg": 0, "K2_cover": -2, "contractions": 8, "K2_minimal": 6,
         "double_fibres": 4, "bicanonical": [6, [1, 0, 0]], "P2": 7,
     })
@@ -190,12 +191,12 @@ def _scenario_example1_degenerate(rep: ScenarioReport) -> None:
 def _scenario_example2(rep: ScenarioReport) -> None:
     bd = examples.example2()
     cfg = bd.configuration
-    l3, inv, bic = covers.analyse(bd, cfg.cls("f1"))
+    inv = covers.analyse(bd, cfg.cls("f1"))
     rep.add("valid", "2L1 = D2+D3 and 2L2 = D1+D3 hold exactly", True, True)
     rep.add("L3", "L3 = 4l-2e1-2e2-2e3-e4-e5-e6-e7",
-            [4, 2, 2, 2, 1, 1, 1, 1], l3.to_vector())
+            [4, 2, 2, 2, 1, 1, 1, 1], bd.L3.to_vector())
     k = cfg.lattice.canonical
-    for i, L in enumerate((bd.L1, bd.L2, l3), start=1):
+    for i, L in enumerate((bd.L1, bd.L2, bd.L3), start=1):
         rep.add(f"adjoint-h0-L{i}",
                 f"the adjoint system K+L{i} has no sections",
                 0, h0_class(cfg, k + L))
@@ -207,7 +208,7 @@ def _scenario_example2(rep: ScenarioReport) -> None:
             "the moving branch curve C spans a pencil of arithmetic genus 0 "
             "(irreducibility of its general member is not decided here)",
             [2, 0], [h0_class(cfg, c_cls), arithmetic_genus(c_cls)])
-    _report_checks(rep, "ex2", inv, bic, {
+    _report_checks(rep, "ex2", inv, {
         "chi": 1, "pg": 0, "K2_cover": -4, "contractions": 10, "K2_minimal": 6,
         "double_fibres": 5, "bicanonical": [6, [1, 0, 0]], "P2": 7,
     })
@@ -229,9 +230,9 @@ def _scenario_example3(rep: ScenarioReport) -> None:
             [4, 1, 1, 1, 2, 2, 2, 0], bd.L1.to_vector())
     rep.add("L2-derived", "half of D1+D3 equals the L2 of example 2",
             examples.example2().L2.to_vector(), bd.L2.to_vector())
-    _, inv, bic = covers.analyse(bd, bd.configuration.cls("f1"))
+    inv = covers.analyse(bd, bd.configuration.cls("f1"))
     rep.add("valid", "the derived data validates", True, True)
-    _report_checks(rep, "ex3", inv, bic, {
+    _report_checks(rep, "ex3", inv, {
         "chi": 1, "pg": 0, "K2_cover": -2, "contractions": 8, "K2_minimal": 6,
         "double_fibres": 5, "bicanonical": [6, [1, 0, 0]], "P2": 7,
     })
@@ -384,14 +385,15 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
 def run_custom(doc: dict, seed: int = 0) -> dict:
     """Full pipeline on a cover document; computed invariants, no pins.
 
-    Raises ValueError/KeyError on malformed documents and RelationError
-    when the data does not validate.
+    Raises ValueError/KeyError on malformed documents, the pencil first,
+    and RelationError when the data does not validate.
     """
     if not isinstance(doc, dict):
         raise ValueError("a cover document must be a JSON object")
+    lat = configuration_of(doc, seed).lattice
+    pencil = lat.from_vector(doc["pencil"]) if "pencil" in doc else None
     bd = cover_from_document(doc, seed)
-    pencil = bd.lattice.from_vector(doc["pencil"]) if "pencil" in doc else None
-    l3, rep, bic = covers.analyse(bd, pencil)
+    rep = covers.analyse(bd, pencil)
     return {
         "scenario": "custom",
         "seed": seed,
@@ -399,9 +401,12 @@ def run_custom(doc: dict, seed: int = 0) -> dict:
         "valid": True,
         "L1": bd.L1.to_vector(),
         "L2": bd.L2.to_vector(),
-        "L3": l3.to_vector(),
+        "L3": bd.L3.to_vector(),
         "l_provenance": bd.l_provenance,
         "invariants": rep.to_dict(),
-        "bicanonical": bic.to_dict(),
+        "bicanonical": {"h0_invariant": rep.h0_invariant,
+                        "h0_characters": list(rep.h0_characters),
+                        "total": rep.P2, "degree": rep.bicanonical_degree,
+                        "involution_index": rep.involution_index},
         "decomposition_depth": DECOMPOSITION_DEPTH,
     }

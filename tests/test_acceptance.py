@@ -12,8 +12,7 @@ from bidouble.codes import (code_of_classes, de_code, is_doubly_even,
                             isotropy_bound_holds, weights)
 from bidouble.covers import (analyse, branch_preimage, count_double_fibres,
                              etale_double, fibre_multiplicity,
-                             numeri_identities, resolve_111, slope_check,
-                             validate)
+                             numeri_identities, resolve_111, slope_check)
 from bidouble.examples import example1, example2, example3
 from bidouble.lattice import (BlowupLattice, DivisorClass, arithmetic_genus,
                               castelnuovo_bound)
@@ -31,9 +30,8 @@ def _passed(n, text):
 
 def test_criterion_1_example1():
     bd = example1()
-    l3 = validate(bd)
-    assert l3 == DivisorClass(4, (2, 2, 2, 1, 1, 1))
-    rep = analyse(bd)[1]
+    assert bd.L3 == DivisorClass(4, (2, 2, 2, 1, 1, 1))
+    rep = analyse(bd)
     assert rep.K2_cover == -1
     assert rep.contractions == 8
     assert rep.K2_minimal == 7
@@ -46,8 +44,7 @@ def test_criterion_1_example1():
 def test_criterion_2_example1_degeneration():
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
     out = resolve_111(example1(), cfg, ("f2", "f3", "f1"))
-    validate(out)
-    rep = analyse(out)[1]
+    rep = analyse(out)
     assert rep.K2_minimal == 6
     assert rep.pg == 0
     f1 = cfg.cls("f1")
@@ -60,18 +57,18 @@ def test_criterion_2_example1_degeneration():
 
 def test_criterion_3_example2():
     bd = example2()
-    l3 = validate(bd)
+    l3 = bd.L3
     assert l3 == DivisorClass(4, (2, 2, 2, 1, 1, 1, 1))
     from bidouble.plane import h0_class
     k = CFG7.lattice.canonical
     assert [h0_class(CFG7, k + L) for L in (bd.L1, bd.L2, l3)] == [0, 0, 0]
-    _, rep, bic = analyse(bd)
+    rep = analyse(bd)
     assert rep.chi == 1
     assert rep.K2_minimal == 6
     assert h0_class(CFG7, -1 * k + CFG7.cls("f1")) == 6
-    assert (bic.h0_invariant, bic.h0_characters) == (6, (1, 0, 0))
-    assert bic.total == 7
-    assert (bic.degree, bic.involution_index) == (2, 1)
+    assert (rep.h0_invariant, rep.h0_characters) == (6, (1, 0, 0))
+    assert rep.P2 == 7
+    assert (rep.bicanonical_degree, rep.involution_index) == (2, 1)
     assert count_double_fibres(bd, CFG7.cls("f1")) == 5
     _passed(3, "example 2: printed L3, three vanishing adjoints, chi=1, "
                "K2_minimal=6, h0(-K+f1)=6, bicanonical (6,[1,0,0]) with "
@@ -82,8 +79,7 @@ def test_criterion_4_example3():
     bd = example3()
     assert bd.L1 == DivisorClass(4, (1, 1, 1, 2, 2, 2, 0))
     assert bd.L2 == example2().L2
-    validate(bd)
-    rep = analyse(bd)[1]
+    rep = analyse(bd)
     assert (rep.chi, rep.pg) == (1, 0)
     assert (rep.K2_cover, rep.contractions, rep.K2_minimal) == (-2, 8, 6)
     th1 = branch_preimage(bd, "Delta2bar")
@@ -197,25 +193,45 @@ def test_criterion_8_interpolation_suite():
 def _permuted(bd, perm):
     """Relabel the branch divisors by D_j' = D_perm[j]; the relations are
     symmetric so the result validates with L_j' = L_perm[j]."""
-    l3 = validate(bd)
-    ls = {1: bd.L1, 2: bd.L2, 3: l3}
+    ls = {1: bd.L1, 2: bd.L2, 3: bd.L3}
     inverse = {perm[j]: j + 1 for j in range(3)}
     comps = tuple(c.replace(branch=inverse[c.branch]) for c in bd.components)
     return bd.replace(components=comps, L1=ls[perm[0]], L2=ls[perm[1]])
 
 
-def test_criterion_9_p2_consistency():
-    bases = [(example1(), CFG6), (example2(), CFG7),
-             (example3(), CFG7)]
+def _relabelings():
+    """The three examples and 20 seeded relabelings of them, each built
+    (so checked) through ``replace``."""
+    bases = [example1(), example2(), example3()]
     cases = list(bases)
     rng = random.Random(99)
     perms = list(itertools.permutations((1, 2, 3)))
     while len(cases) < len(bases) + 20:
-        bd, cfg = bases[rng.randrange(len(bases))]
-        cases.append((_permuted(bd, perms[rng.randrange(6)]), cfg))
-    for bd, cfg in cases:
-        validate(bd)
-        _, rep, bic = analyse(bd)
-        assert bic.total == rep.chi + rep.K2_minimal
+        bd = bases[rng.randrange(len(bases))]
+        cases.append(_permuted(bd, perms[rng.randrange(6)]))
+    return cases
+
+
+def test_criterion_9_p2_consistency():
+    for bd in _relabelings():
+        rep = analyse(bd)
+        assert rep.P2 == rep.chi + rep.K2_minimal
     _passed(9, "bicanonical totals equal chi + K2_minimal for the three "
                "examples and 20 seeded validating relabelings")
+
+
+def test_branch_degree_is_twice_a_product_with_l():
+    # b = G.(D_j + D_k) = 2 G.L_i for a component G of D_i, so b is even on
+    # every valid cover: the examples, their relabelings and the resolved
+    # example 1 through either member of |f1|
+    covers = _relabelings()
+    for seed in (0, 1, 37):
+        cfg = standard_quadrilateral(with_general_point=True, seed=seed)
+        for through in (("f2", "f3", "f1"), ("f2", "f3", "f1p")):
+            covers.append(resolve_111(example1(), cfg, through))
+    assert len(covers) == 29
+    for bd in covers:
+        ls = (bd.L1, bd.L2, bd.L3)
+        for c in bd.components:
+            b = branch_preimage(bd, c.name).branch_degree
+            assert b == 2 * c.cls.dot(ls[c.branch - 1])

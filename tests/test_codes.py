@@ -373,3 +373,12 @@ def test_non_integral_input_rejected():
     with pytest.raises(TypeError):
         BinaryCode(2.7, [])
     assert BinaryCode(3, [[True, 0, 3]]).to_rows() == [[1, 0, 1]]
+
+
+def test_negative_length_rejected():
+    # BinaryCode(-3) used to construct, with weights {0: 1} and the isotropy
+    # bound (-6, 7, True); with a row it failed on a negative shift count
+    for rows in ((), [5], [[1, 0, 1]]):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            BinaryCode(-3, rows)
+    assert BinaryCode(0).dim == 0

@@ -7,7 +7,7 @@ from bidouble.covers import (BidoubleData, BranchComponent, IncidenceError,
                              contraction_count, count_double_fibres,
                              double_cover_chi, etale_double,
                              fibre_multiplicity, numeri_identities,
-                             resolve_111, slope_check, validate)
+                             resolve_111, slope_check)
 from bidouble.examples import example1, example2, example3, halve
 from bidouble.lattice import BlowupLattice, DivisorClass
 from bidouble.plane import PointConfiguration, standard_quadrilateral
@@ -18,7 +18,7 @@ CFG7 = standard_quadrilateral(with_p7=True)
 
 def test_validate_example1():
     bd = example1()
-    l3 = validate(bd)
+    l3 = bd.L3
     assert l3.to_vector() == [4, 2, 2, 2, 1, 1, 1]
     # independent re-derivation of the relations from the component sums
     d1, d2, d3 = (bd.branch_class(i) for i in (1, 2, 3))
@@ -29,17 +29,25 @@ def test_validate_example1():
 
 def test_validate_example2():
     bd = example2()
-    assert validate(bd).to_vector() == [4, 2, 2, 2, 1, 1, 1, 1]
+    assert bd.L3.to_vector() == [4, 2, 2, 2, 1, 1, 1, 1]
 
 
 def test_validate_rejects_corruption():
+    # a cover is checked when it is built, by the constructor or by replace
     bd = example2()
-    wrong = bd.replace(L1=bd.L1 + CFG7.lattice.exceptional(5))
+    e5 = CFG7.lattice.exceptional(5)
+    for build in (lambda: bd.replace(L1=bd.L1 + e5),
+                  lambda: BidoubleData(bd.configuration, bd.components,
+                                       bd.L1 + e5, bd.L2)):
+        with pytest.raises(RelationError) as err:
+            build()
+        (name, residue), = err.value.residues
+        assert name == "2L1 - (D2+D3)"
+        assert residue == 2 * e5
     with pytest.raises(RelationError) as err:
-        validate(wrong)
-    (name, residue), = err.value.residues
-    assert name == "2L1 - (D2+D3)"
-    assert residue == 2 * CFG7.lattice.exceptional(5)
+        bd.replace(L1=bd.L1 + e5, L2=bd.L2 - e5)
+    assert err.value.residues == [("2L1 - (D2+D3)", 2 * e5),
+                                  ("2L2 - (D1+D3)", -2 * e5)]
 
 
 def test_validate_compares_each_class_once(monkeypatch):
@@ -48,15 +56,17 @@ def test_validate_compares_each_class_once(monkeypatch):
     # move L1 and L2 by 1000 f1) cost no more products than example 2's 14
     bd = example2()
     f1 = next(c for c in bd.components if c.name == "f1")
-    more = bd.replace(components=bd.components + tuple(
-        f1.replace(name=f"f1#{k}") for k in range(2, 2002)),
-        L1=bd.L1 + 1000 * f1.cls, L2=bd.L2 + 1000 * f1.cls)
+    comps = bd.components + tuple(
+        f1.replace(name=f"f1#{k}") for k in range(2, 2002))
     calls = []
     real = DivisorClass.dot
     monkeypatch.setattr(DivisorClass, "dot",
                         lambda a, b: calls.append(b) or real(a, b))
-    assert validate(more) == validate(bd)
-    assert len(calls) == 2 * 14
+    more = bd.replace(components=comps, L1=bd.L1 + 1000 * f1.cls,
+                      L2=bd.L2 + 1000 * f1.cls)
+    assert len(calls) == 14
+    assert bd.replace() == bd and len(calls) == 2 * 14
+    assert more.L3 == bd.L3
 
 
 def test_validate_corruption_sweep():
@@ -68,7 +78,7 @@ def test_validate_corruption_sweep():
             comps = list(bd.components)
             comps[idx] = comp.replace(cls=comp.cls + e1)
             with pytest.raises(RelationError):
-                validate(bd.replace(components=tuple(comps)))
+                bd.replace(components=tuple(comps))
 
 
 def test_example3_derived_classes():
@@ -76,7 +86,7 @@ def test_example3_derived_classes():
     assert bd.l_provenance == "derived"
     assert bd.L1.to_vector() == [4, 1, 1, 1, 2, 2, 2, 0]
     assert bd.L2 == example2().L2
-    validate(bd)
+    assert 2 * bd.L3 == bd.branch_class(1) + bd.branch_class(2)
 
 
 def test_halve():
@@ -109,7 +119,7 @@ def test_examples_read_each_shipped_document_once(monkeypatch):
 
 def test_invariants_example1():
     bd = example1()
-    rep = analyse(bd)[1]
+    rep = analyse(bd)
     # oracle for K^2 of the cover: (2K + D)^2 recomputed from raw sums
     m = 2 * CFG6.lattice.canonical + bd.branch_total
     assert m == DivisorClass(9, (3, 4, 3, 4, 4, 4))
@@ -119,13 +129,13 @@ def test_invariants_example1():
 
 
 def test_invariants_example2():
-    rep = analyse(example2())[1]
+    rep = analyse(example2())
     assert (rep.chi, rep.pg, rep.K2_cover, rep.contractions, rep.K2_minimal) \
         == (1, 0, -4, 10, 6)
 
 
 def test_invariants_example3():
-    rep = analyse(example3())[1]
+    rep = analyse(example3())
     assert (rep.chi, rep.pg, rep.K2_cover, rep.contractions, rep.K2_minimal) \
         == (1, 0, -2, 8, 6)
 
@@ -158,22 +168,22 @@ def test_branch_preimage_example2_contractions():
 
 
 def test_branch_preimage_corrupt_inputs():
+    # data whose preimages branch_preimage used to refuse (an odd b, and
+    # b = 0 with an odd self-intersection) breaks the relations, so it is
+    # refused when it is built
     two = PointConfiguration(((1, 0, 0), (0, 1, 0)), ())
-    # b odd: component meets the other branch divisors in an odd number
-    bad = BidoubleData(two, (
-        BranchComponent("a", DivisorClass(1, (1, 0)), 1),
-        BranchComponent("b", DivisorClass(1, (0, 1)), 2),
-        BranchComponent("c", DivisorClass(1, (1, 1)), 3),
-    ), L1=DivisorClass(0, (0, 0)), L2=DivisorClass(0, (0, 0)))
-    with pytest.raises(ValueError, match="oddly"):
-        branch_preimage(bad, "a")
-    # b = 0 with odd self-intersection cannot split
-    bad2 = BidoubleData(two, (
-        BranchComponent("a", DivisorClass(0, (-1, 0)), 1),
-        BranchComponent("b", DivisorClass(0, (0, -1)), 2),
-    ), L1=DivisorClass(0, (0, 0)), L2=DivisorClass(0, (0, 0)))
-    with pytest.raises(ValueError, match="even self-intersection"):
-        branch_preimage(bad2, "a")
+    zero = two.lattice.zero
+    with pytest.raises(RelationError):
+        BidoubleData(two, (
+            BranchComponent("a", DivisorClass(1, (1, 0)), 1),
+            BranchComponent("b", DivisorClass(1, (0, 1)), 2),
+            BranchComponent("c", DivisorClass(1, (1, 1)), 3),
+        ), L1=zero, L2=zero)
+    with pytest.raises(RelationError):
+        BidoubleData(two, (
+            BranchComponent("a", DivisorClass(0, (-1, 0)), 1),
+            BranchComponent("b", DivisorClass(0, (0, -1)), 2),
+        ), L1=zero, L2=zero)
 
 
 # the members of D1, D2, D3 of example 1 sent through the general point
@@ -184,19 +194,19 @@ def test_resolve_111():
     bd = example1()
     cfg = standard_quadrilateral(with_general_point=True, seed=0)
     out = resolve_111(bd, cfg, THROUGH)
-    assert validate(out).to_vector() == [4, 2, 2, 2, 1, 1, 1, 1]
+    assert out.L3.to_vector() == [4, 2, 2, 2, 1, 1, 1, 1]
     assert out.component("f1").cls == DivisorClass(2, (0, 1, 0, 1, 1, 1, 1))
     assert out.component("f1p").cls == DivisorClass(2, (0, 1, 0, 1, 1, 1, 0))
-    rep = analyse(out)[1]
+    rep = analyse(out)
     assert (rep.chi, rep.pg) == (1, 0)
     assert (rep.K2_cover, rep.contractions, rep.K2_minimal) == (-2, 8, 6)
 
 
 def test_resolve_111_preserves_chi_pg_drops_k2():
     bd = example1()
-    before = analyse(bd)[1]
+    before = analyse(bd)
     cfg = standard_quadrilateral(with_general_point=True, seed=1)
-    after = analyse(resolve_111(bd, cfg, THROUGH))[1]
+    after = analyse(resolve_111(bd, cfg, THROUGH))
     assert after.chi == before.chi and after.pg == before.pg
     assert after.K2_minimal == before.K2_minimal - 1
 
@@ -209,7 +219,7 @@ def test_resolve_111_through_either_member_of_f1():
     via_f1 = resolve_111(example1(), cfg, THROUGH)
     via_f1p = resolve_111(example1(), cfg, ("f2", "f3", "f1p"))
     assert via_f1p.component("f1p").cls == via_f1.component("f1").cls
-    assert analyse(via_f1p, f1)[1:] == analyse(via_f1, f1)[1:]
+    assert analyse(via_f1p, f1) == analyse(via_f1, f1)
 
 
 def test_resolve_111_incidence_errors():
@@ -220,9 +230,10 @@ def test_resolve_111_incidence_errors():
                     ("f2", "f3")):
         with pytest.raises(IncidenceError):
             resolve_111(bd, cfg, through)
-    # f1 standing for two members: only one of them can pass the point
+    # f1 standing for both members of |f1| in D3 (in place of f1 and f1p):
+    # only one of them can pass the point
     comps = tuple(c.replace(count=2) if c.name == "f1" else c
-                  for c in bd.components)
+                  for c in bd.components if c.name != "f1p")
     with pytest.raises(IncidenceError, match="f1 \\(2 of D3\\)"):
         resolve_111(bd.replace(components=comps), cfg, THROUGH)
     with pytest.raises(KeyError, match="f4"):
@@ -339,51 +350,58 @@ def test_count_double_fibres_other_pencils():
     assert counts == [[4, 4], [2, 3], [3, 3]]
 
 
-def test_count_double_fibres_counts_name_choices():
-    # a member whose components are all branched counts once per choice of
-    # branch components: with e1 listed twice, S1 + 2 e1 + S4 has the
-    # choices {e1, e1}, {e1, e1'} and {e1', e1'}; f1, f1', Delta2 + Delta3
-    # and S2 + 2 e3 + S3 add one each
-    bd = example1()
-    e1 = CFG6.lattice.exceptional(1)
-    twice = bd.replace(components=bd.components + (
-        BranchComponent("e1", e1, 2), BranchComponent("e1'", e1, 2)))
-    assert count_double_fibres(twice, CFG6.cls("f1")) == 7
+def test_rigid_curve_in_two_branch_divisors_is_refused():
+    # e1 listed in D1 and in D2 makes D non-reduced; the relations hold
+    # (2l = e1 + (2l - e1)), and each D_i alone is smooth
+    two = PointConfiguration(((1, 0, 0), (0, 1, 0)), ())
+    e1, conic = two.lattice.exceptional(1), DivisorClass(2, (1, 0))
+    line = two.lattice.line
+    comps = (BranchComponent("e1", e1, 1), BranchComponent("e1'", e1, 2),
+             BranchComponent("Q", conic, 3))
+    with pytest.raises(IncidenceError,
+                       match="rigid curve e1 lies in both D1 and D2"):
+        BidoubleData(two, comps, L1=line, L2=line)
+    # a class that moves may be listed in several D_i: three lines
+    lines = tuple(BranchComponent(f"l{i}", line, i) for i in (1, 2, 3))
+    assert BidoubleData(two, lines, L1=line, L2=line).L3 == line
 
 
 def test_bicanonical_example1():
-    bic = analyse(example1())[2]
-    assert bic.h0_invariant == 7
-    assert bic.h0_characters == (1, 0, 0)
-    assert bic.total == 8
-    assert (bic.degree, bic.involution_index) == (2, 1)
+    rep = analyse(example1())
+    assert rep.h0_invariant == 7
+    assert rep.h0_characters == (1, 0, 0)
+    assert rep.P2 == 8
+    assert (rep.bicanonical_degree, rep.involution_index) == (2, 1)
 
 
 def test_bicanonical_example2():
-    bic = analyse(example2())[2]
-    assert (bic.h0_invariant, bic.h0_characters) == (6, (1, 0, 0))
-    assert bic.total == 7
-    assert (bic.degree, bic.involution_index) == (2, 1)
+    rep = analyse(example2())
+    assert (rep.h0_invariant, rep.h0_characters) == (6, (1, 0, 0))
+    assert rep.P2 == 7
+    assert (rep.bicanonical_degree, rep.involution_index) == (2, 1)
 
 
 def test_bicanonical_totals_match_p2():
     for bd, cfg in ((example1(), CFG6), (example2(), CFG7),
                     (example3(), CFG7)):
-        _, rep, bic = analyse(bd)
-        assert bic.total == rep.chi + rep.K2_minimal
+        rep = analyse(bd)
+        assert rep.P2 == rep.chi + rep.K2_minimal
 
 
 def test_analyse_report():
     bd = example2()
-    l3, rep, bic = analyse(bd, CFG7.cls("f1"))
-    assert l3 == validate(bd)
+    rep = analyse(bd, CFG7.cls("f1"))
     assert rep.double_fibres == 5
-    assert rep.bicanonical_degree == bic.degree == 2
-    assert rep.involution_index == bic.involution_index == 1
+    assert (rep.bicanonical_degree, rep.involution_index) == (2, 1)
+    assert rep.P2 == rep.h0_invariant + sum(rep.h0_characters) == 7
     assert rep.K2_minimal == rep.K2_cover + rep.contractions
     assert rep.q == rep.pg + 1 - rep.chi >= 0
+    # the invariants section of a report leaves out the h^0 of the summands
+    assert list(rep.to_dict()) == [
+        "chi", "K2_cover", "pg", "q", "contractions", "K2_minimal",
+        "double_fibres", "bicanonical_degree", "involution_index"]
     # without a pencil nothing else changes and no fibres are counted
-    assert analyse(bd) == (l3, rep.replace(double_fibres=None), bic)
+    assert analyse(bd) == rep.replace(double_fibres=None)
 
 
 def test_branch_preimage_genus_nonnegative():

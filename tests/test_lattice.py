@@ -261,3 +261,11 @@ def test_classes_are_immutable_values():
     assert len({d, *same, lat, BlowupLattice(6)}) == 2
     with pytest.raises(ValueError):
         BlowupLattice(-1)
+
+
+def test_lattice_size_is_a_non_negative_integer():
+    # 2.5 used to construct and fail later, in .canonical, with TypeError
+    for n in (2.5, 6.0, Fraction(1, 2), "6", -1):
+        with pytest.raises(ValueError):
+            BlowupLattice(n)
+    assert BlowupLattice(True).n == 1 and type(BlowupLattice(True).n) is int

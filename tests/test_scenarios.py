@@ -69,7 +69,7 @@ def test_run_custom_matches_scenarios():
     from bidouble.covers import analyse
     from bidouble.examples import example2
     cfg = standard_quadrilateral(with_p7=True)
-    expected = analyse(example2(), cfg.cls("f1"))[1].to_dict()
+    expected = analyse(example2(), cfg.cls("f1")).to_dict()
     assert rep["invariants"] == expected
     assert rep["L3"] == [4, 2, 2, 2, 1, 1, 1, 1]
     assert rep["bicanonical"]["h0_invariant"] == 6
@@ -107,6 +107,45 @@ def test_run_custom_relation_failure():
     doc["L1"][5] += 1
     with pytest.raises(RelationError):
         run_custom(doc)
+
+
+def test_cli_custom_reads_the_pencil_before_building_the_cover(tmp_path,
+                                                               capsys):
+    # a wrong L1 alone exits 1; with a 6-mult pencil as well, the pencil is
+    # refused first (exit 2).  A bad component with a bad pencil is refused
+    # for the pencil too
+    wrong_l1 = _edited("example2.json", ("L1", 5), 3)
+    bad_pencil = dict(wrong_l1, pencil=wrong_l1["pencil"][:7])
+    bad_component = _edited("example2.json", ("components", 0, "class"), [1, 0])
+    bad_component["pencil"] = bad_pencil["pencil"]
+    for doc, code, message in (
+            (wrong_l1, 1, "violates cover relations (2L1 - (D2+D3): "
+                          "residue -2e5)"),
+            (bad_pencil, 2, "class vector has 6 mults, lattice has 7"),
+            (bad_component, 2, "class vector has 6 mults, lattice has 7")):
+        path = tmp_path / "faulty.json"
+        path.write_text(json.dumps(doc))
+        assert main(["custom", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert message in err
+
+
+def test_cli_custom_refuses_a_rigid_curve_in_two_branch_divisors(tmp_path,
+                                                                 capsys):
+    # e1 in D1 and in D2, a conic through P1 in D3: the relations hold with
+    # L1 = L2 = l, but D is not reduced
+    e1 = [0, -1, 0, 0, 0, 0, 0]
+    path = tmp_path / "rigid.json"
+    path.write_text(json.dumps({"lattice_n": 6, "components": [
+        {"name": "E1a", "class": e1, "branch": 1},
+        {"name": "E1b", "class": e1, "branch": 2},
+        {"name": "Q", "class": [2, 1, 0, 0, 0, 0, 0], "branch": 3}],
+        "L1": [1, 0, 0, 0, 0, 0, 0], "L2": [1, 0, 0, 0, 0, 0, 0]}))
+    assert main(["custom", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ("error: the rigid curve e1 lies in both D1 and D2, so D "
+                   "is not reduced\n") and out == ""
 
 
 def test_run_custom_malformed():
@@ -299,25 +338,31 @@ def test_cli_custom_consistency_failure_exits_1(monkeypatch, capsys):
 def test_analysis_computes_each_class_once(monkeypatch, capsys):
     # seven h0 per construction (three adjoint, one invariant, three
     # character classes) and one validation per custom document; verify
-    # all adds example 2's own three adjoint, -K+f1 and C checks to 4 x 7
+    # all adds example 2's own three adjoint, -K+f1 and C checks to 4 x 7.
+    # A cover is validated when it is built: once the shipped ones are
+    # built, verify all builds and validates one, the resolved example 1
     from bidouble import covers, scenarios
 
     h0_calls, validations = [], []
-    real_h0, real_validate = covers.h0_class, covers.validate
+    real_h0, real_init = covers.h0_class, covers.BidoubleData.__init__
 
     def counting_h0(*args):
         h0_calls.append(args)
         return real_h0(*args)
 
-    def counting_validate(*args):
+    def counting_init(*args, **kwargs):
         validations.append(args)
-        return real_validate(*args)
+        return real_init(*args, **kwargs)
 
     monkeypatch.setattr(covers, "h0_class", counting_h0)
     monkeypatch.setattr(scenarios, "h0_class", counting_h0)
-    monkeypatch.setattr(covers, "validate", counting_validate)
+    monkeypatch.setattr(covers.BidoubleData, "__init__", counting_init)
     assert main(["verify", "all", "--seed", "5"]) == 0
     assert len(h0_calls) == 33
+    h0_calls.clear()
+    validations.clear()
+    assert main(["verify", "all", "--seed", "5"]) == 0
+    assert (len(h0_calls), len(validations)) == (33, 1)
     for n in (1, 2, 3):
         h0_calls.clear()
         validations.clear()
@@ -680,22 +725,22 @@ def _records():
 
     cfg = standard_quadrilateral(with_p7=True)
     bd = examples.example2()
-    _, inv, bic = covers.analyse(bd, cfg.cls("f1"))
+    inv = covers.analyse(bd, cfg.cls("f1"))
     report = scenarios.ScenarioReport("bounds", 3)
     report.add("id", "anchor", (1, 2), (1, 2))
     return {"CurveEntry": cfg.entry("S1"), "PointConfiguration": cfg,
             "FatPointSystem": plane.FatPointSystem(5, ((0, 1), (3, 2))),
             "BranchComponent": bd.component("f1"), "BidoubleData": bd,
             "BranchPreimage": covers.branch_preimage(bd, "S1"),
-            "InvariantReport": inv, "BicanonicalDecomposition": bic,
-            "Check": report.checks[0], "ScenarioReport": report}
+            "InvariantReport": inv, "Check": report.checks[0],
+            "ScenarioReport": report}
 
 
 @pytest.mark.parametrize("name", ("CurveEntry", "PointConfiguration",
                                   "FatPointSystem", "BranchComponent",
                                   "BidoubleData", "BranchPreimage",
-                                  "InvariantReport", "BicanonicalDecomposition",
-                                  "Check", "ScenarioReport"))
+                                  "InvariantReport", "Check",
+                                  "ScenarioReport"))
 def test_records_keep_their_dataclass_behaviour(name):
     record = _records()[name]
     assert type(record).__name__ == name
@@ -731,9 +776,10 @@ def test_records_cache_out_of_their_fields():
     assert bd.branch_total is bd.branch_total
     assert bd._branch_classes is bd._branch_classes
     assert check.passed is True
-    # a fresh configuration has derived its collinear triples, to check them
-    assert [set(copy.__dict__) for copy in fresh] == [{"collinear_triples"},
-                                                      set(), set()]
+    # a fresh configuration has derived its collinear triples, and a fresh
+    # cover its branch classes, to check them
+    assert [set(copy.__dict__) for copy in fresh] == [
+        {"collinear_triples"}, {"_tally", "_branch_classes"}, set()]
     # a cached value is no field: equality, hash and repr ignore it
     for record, copy in zip((cfg, bd, check), fresh):
         assert "__dict__" not in record._asdict() and record.__dict__
