@@ -165,28 +165,52 @@ def weights(code: BinaryCode) -> Counter:
     when <m, c_j> is odd, c_j being the column of generator bits at j, so
     the weights depend on the multiset of columns alone.  Bit-sliced
     (Biham 1997): each distinct column becomes a 2^dim-bit int, bit m for
-    word m, added with its multiplicity into planes of weight bits; the
-    all-ones mask is split through the planes, top plane first, and each
-    leaf's popcount counts the words of one weight.  Memory: a few
-    2^dim-bit ints per bit of the length.
+    word m (the XOR of its generators' masks), added with its multiplicity
+    into planes of weight bits by carry-save (Harley-Seal): two words may
+    wait on a plane, a third makes a full adder that carries one plane up,
+    and one ripple of full adders adds the waiting words in at the end.
+    The all-ones mask is split through the planes, top plane first, and
+    each leaf's popcount counts the words of one weight.  Memory: dim
+    masks and two words per plane, then the planes and the split's stack,
+    2^dim bits each (5.2 MiB at dim 20, length 400).
 
     Raises EnumerationCapError when the dimension passes ENUMERATION_CAP.
+
+    >>> dict(weights(BinaryCode(8, [0b11111111, 0b00001111])))
+    {0: 1, 4: 2, 8: 1}
     """
     if code.dim > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"dim {code.dim} exceeds the enumeration cap {ENUMERATION_CAP}")
-    columns = Counter(sum((g >> j & 1) << i for i, g in enumerate(code.generators))
-                      for j in range(code.length))
+    masks = []  # bit m of masks[i]: bit i of m
+    for h in (1 << i for i in range(code.dim)):  # masks of h bits to 2h bits
+        masks = [m | m << h for m in masks] + [(1 << 2 * h) - (1 << h)]
+    columns = [0] * code.length  # bit i of columns[j]: bit j of generator i
+    for i, g in enumerate(code.generators):
+        while g:
+            columns[(g & -g).bit_length() - 1] |= 1 << i
+            g &= g - 1
     planes = [0] * code.length.bit_length()  # bit m of planes[p]: bit p of wt(m)
-    for column, mult in columns.items():
-        x = 0  # bit m: coordinate of word m, built a generator at a time
-        for i in range(code.dim):
-            x |= (x ^ ((1 << (1 << i)) - 1) if column >> i & 1 else x) << (1 << i)
+    waiting = planes.copy()  # a second word on plane p, not yet added
+    for column, mult in Counter(columns).items():
+        x = 0  # bit m: coordinate of word m
+        while column:
+            x ^= masks[(column & -column).bit_length() - 1]
+            column &= column - 1
         for p in range(mult.bit_length()):
             carry, q = (x if mult >> p & 1 else 0), p
-            while carry:  # ripple carry; no weight passes the top plane
-                planes[q], carry = planes[q] ^ carry, planes[q] & carry
-                q += 1
+            while carry:  # a third word on a plane makes a full adder
+                a, b = planes[q], waiting[q]
+                if not b:
+                    waiting[q] = carry
+                    break
+                planes[q], waiting[q] = a ^ b ^ carry, 0
+                carry, q = a & b | (a ^ b) & carry, q + 1
+    carry = 0  # one ripple of full adders adds the waiting words in
+    for p, b in enumerate(waiting):  # no weight passes the top plane
+        a = planes[p]
+        planes[p], carry = a ^ b ^ carry, a & b | (a ^ b) & carry
+    del masks, waiting  # the split needs the planes alone
     counts = Counter()
 
     def split(mask, p, weight):

@@ -209,6 +209,42 @@ def test_weights_with_repeated_and_zero_columns():
     assert dims <= set(range(11, 17)) and len(dims) > 3
 
 
+def test_weights_edge_cases_match_brute_force():
+    # the carry-save planes on seeded codes of every dimension 0-16: column
+    # multiplicities 1-9 (2, 4 and 8 enter a single higher plane, 7 three
+    # planes at once) and zero columns; oracle: brute-force span
+    rng = random.Random(20)
+    mults = set()
+    for dim in range(17):
+        columns = [1 << i for i in range(dim)]  # the unit columns give rank dim
+        columns += [rng.getrandbits(dim) for _ in range(rng.randint(1, 6))]
+        columns += [0] * (1 + dim % 3)
+        mult = [1 + (dim + j) % 9 for j in range(len(columns))]
+        mults.update(mult)
+        columns = [c for c, m in zip(columns, mult) for _ in range(m)]
+        rng.shuffle(columns)
+        rows = [sum((c >> i & 1) << j for j, c in enumerate(columns))
+                for i in range(dim)]
+        code = BinaryCode(len(columns), rows)
+        assert code.dim == dim
+        got = weights(code)
+        assert got == Counter(w.bit_count() for w in _span(rows)), dim
+        assert list(got) == sorted(got)
+    assert mults == set(range(1, 10))
+
+
+def test_weights_of_the_all_ones_word_at_length_two_to_the_k():
+    # weight = length = 2^k is the only weight with bit k set: it sits alone
+    # on the top plane
+    rng = random.Random(21)
+    for k in range(8):
+        n = 1 << k
+        rows = [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(min(n, 9))]
+        got = weights(BinaryCode(n, rows))
+        assert got == Counter(w.bit_count() for w in _span(rows)), n
+        assert list(got) == sorted(got) and got[n] == 1
+
+
 def test_weights_of_the_full_space_and_of_de21():
     for n in (0, 1, 5, 13, 20):
         full = BinaryCode(n, [1 << j for j in range(n)])
@@ -240,6 +276,23 @@ def test_weights_memory_does_not_grow_with_length():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_weights_memory_at_the_cap():
+    # dimension 20, the cap: 20 generator masks of 2^20 bits (2.5 MiB) and
+    # two words on each of 9 planes (2.25 MiB) while adding, then the 9
+    # planes and the split's stack of two masks a plane (3.4 MiB), plus a
+    # few temporaries, bound the peak by 6 MiB; it is about 5.2 MiB
+    rng = random.Random(20)
+    code = BinaryCode(400, [rng.getrandbits(400) for _ in range(20)])
+    assert code.dim == 20
+    tracemalloc.start()
+    try:
+        weights(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 def test_doubly_even_matches_enumeration():

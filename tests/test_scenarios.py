@@ -700,6 +700,12 @@ _GOLDEN = {
                      "4f969593878a4769e6711b51e7060f63ab0d6e501c3c8f8f2d83d1622af46665"),
     "code-sides": (["code", "--fixture", "nodal_sides.json"], 0,
                    "030d0bc7583e0b7906e3c826bb0a668b2f4ba46ae556660a22a31974d66f846a"),
+    "code-nodal10-json": (
+        ["code", "--fixture", "nodal10_rank14.json", "--format", "json"], 0,
+        "7f24d55f8812959efa32c541ac4b08169de2d6198b3089053a062b124e07b6d9"),
+    "code-sides-json": (
+        ["code", "--fixture", "nodal_sides.json", "--format", "json"], 0,
+        "0346cb1ac7bf9e8ba3244590da3c8d8a59d7837acd5bb87d3a1a6aad6f5969bd"),
 }
 
 
