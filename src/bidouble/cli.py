@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from operator import index
 
 # scenarios.SCENARIO_NAMES, spelled out so that the parser needs no import
@@ -67,6 +68,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str
+    keys, in about half the time of the pure-Python encoder that ``indent``
+    selects; other leaves (a float in a document's name) go to ``json``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    parts = []  # a loop, not a comprehension: one frame per level of nesting
+    if isinstance(value, dict):
+        for k, v in value.items():
+            parts.append(encode_basestring_ascii(k) + ": " + _dumps(v, inner))
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            parts.append(_dumps(v, inner))
+        ends = "[]"
+    else:
+        return json.dumps(value)
+    return (ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
+            if parts else ends)
+
+
 def _cmd_verify(args) -> int:
     from .scenarios import ScenarioAbort, run_scenario
     names = list(SCENARIO_NAMES) if args.scenario == "all" else [args.scenario]
@@ -78,7 +105,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         payload = reports[0].to_dict() if len(reports) == 1 else \
             [r.to_dict() for r in reports]
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print("\n\n".join(r.to_text() for r in reports))
     return 0 if all(r.passed for r in reports) else 1
@@ -124,7 +151,7 @@ def _cmd_custom(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed cover document: {exc}", file=sys.stderr)
         return 2
-    return _emit(json.dumps(report, indent=2) if args.format == "json"
+    return _emit(_dumps(report) if args.format == "json"
                  else _custom_text(report))
 
 
@@ -193,7 +220,7 @@ def _cmd_code(args) -> int:
         "isotropy": {"lhs": lhs, "rhs": rhs, "holds": holds},
     }
     if args.format == "json":
-        return _emit(json.dumps(report, indent=2))
+        return _emit(_dumps(report))
     return _emit(
         f"code of {report['fixture']}: k={report['k']}, dim={report['dim']}\n"
         f"  generators: {report['generators']}\n"

@@ -31,6 +31,11 @@ or 2) and every answer is lattice arithmetic on its negative curves:
   (F^2 = 0, K.F = -2, F nef), read off the negative curves orthogonal to F
   with no search: each connected set of them supports one member, whose
   coefficients are solved exactly and checked by re-summing.
+
+``h0_class`` and ``reducible_fibres`` keep each answer on the configuration
+by the class's (degree, mults), one entry per distinct class asked, for as
+long as the configuration lives (P6 and P7: the whole process; general
+points: the last 32 drawn).  An error is never stored.
 """
 
 from __future__ import annotations
@@ -118,7 +123,9 @@ class PointConfiguration(Record):
     The lattice and the 1-based ``collinear_triples`` are derived from the
     points, the triples by one exact determinant each.  Construction
     verifies almost general position: at most seven points, no four on a
-    line, not seven on a conic.
+    line, not seven on a conic.  Derived values are cached on the instance,
+    and so are the answers of ``h0_class`` and ``reducible_fibres``: one per
+    distinct class asked, kept while the instance lives, errors never.
     """
 
     __slots__ = ("points", "entries", "__dict__")
@@ -237,6 +244,10 @@ class PointConfiguration(Record):
                            for c_deg, c_mults, _ in self._negative_curves):
                         out.append((f_deg, f))
         return tuple(out)
+
+    # the answers of h0_class and reducible_fibres, by (degree, mults)
+    _h0_memo = cached_property(lambda self: {})
+    _fibre_memo = cached_property(lambda self: {})
 
     @cached_property
     def _negative_curves(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
@@ -379,15 +390,17 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
     """
     if d.n != cfg.lattice.n:
         raise ValueError("class does not live on the configuration's lattice")
+    deg, mults = key = d.degree, d.mults
+    h0 = cfg._h0_memo.get(key)
+    if h0 is not None:
+        return h0
     curves = cfg._negative_curves
-    deg, mults = d.degree, d.mults
     for step in itertools.count(1):
-        if deg < 0 or 3 * deg < sum(mults):
-            return 0
-        if step % _SCREEN == 0 and any(
+        if deg < 0 or 3 * deg < sum(mults) or step % _SCREEN == 0 and any(
                 deg * f_deg < sum(map(mul, mults, f_mults))
                 for f_deg, f_mults in cfg.conic_bundles):
-            return 0
+            h0 = 0
+            break
         for c_deg, c_mults, c_neg in curves:
             meet = deg * c_deg - sum(map(mul, mults, c_mults))
             if meet < 0:
@@ -396,8 +409,11 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
                 mults = tuple(a - k * b for a, b in zip(mults, c_mults))
                 break
         else:
-            return 1 + (deg * deg - sum(m * m for m in mults)
-                        + 3 * deg - sum(mults)) // 2
+            h0 = 1 + (deg * deg - sum(m * m for m in mults)
+                      + 3 * deg - sum(mults)) // 2
+            break
+    cfg._h0_memo[key] = h0
+    return h0
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +475,11 @@ def reducible_fibres(cfg: PointConfiguration, F: DivisorClass):
     """
     if F.n != cfg.lattice.n:
         raise ValueError("class does not live on the configuration's lattice")
-    deg, mults = F.degree, F.mults
-    if (deg, mults) not in cfg.conic_bundles:
+    deg, mults = key = F.degree, F.mults
+    members = cfg._fibre_memo.get(key)
+    if members is not None:
+        return list(members)
+    if key not in cfg.conic_bundles:
         raise ValueError(
             f"pencil class {F} is not a conic bundle: it must have "
             "self-intersection 0, K-degree -2 and meet every negative curve "
@@ -490,4 +509,5 @@ def reducible_fibres(cfg: PointConfiguration, F: DivisorClass):
                 f"the negative curves {[e.name for e in entries]} orthogonal "
                 f"to {F} do not sum to it")
         members.append(tuple(zip(entries, a)))
+    cfg._fibre_memo[key] = tuple(members)
     return members

@@ -21,7 +21,7 @@ records, like every record of the package, are ``__slots__`` classes on
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import covers, examples
 from .examples import (configuration_of, cover_from_document, data_path,
@@ -66,17 +66,18 @@ class Check(Record):
         self._set(id, anchor, expected, computed)
 
     @cached_property
+    def _json(self) -> tuple:
+        """(expected, computed) as JSON values, converted once."""
+        return _jsonify(self.expected), _jsonify(self.computed)
+
+    @property
     def passed(self) -> bool:
-        return _jsonify(self.expected) == _jsonify(self.computed)
+        return self._json[0] == self._json[1]
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "expected": _jsonify(self.expected),
-            "computed": _jsonify(self.computed),
-            "pass": self.passed,
-        }
+        expected, computed = self._json
+        return {"id": self.id, "anchor": self.anchor, "expected": expected,
+                "computed": computed, "pass": self.passed}
 
 
 class ScenarioReport(Record):
@@ -115,8 +116,7 @@ class ScenarioReport(Record):
             mark = "PASS" if c.passed else "FAIL"
             line = f"  [{mark}] {c.id}: {c.anchor}"
             if not c.passed:
-                line += (f"\n         expected {_jsonify(c.expected)}"
-                         f" != computed {_jsonify(c.computed)}")
+                line += "\n         expected {} != computed {}".format(*c._json)
             lines.append(line)
         good = sum(1 for c in self.checks if c.passed)
         lines.append(f"summary: {good}/{len(self.checks)} checks passed")
@@ -249,6 +249,14 @@ def _scenario_example3(rep: ScenarioReport) -> None:
             [pre.splits, pre.genus, pre.self_intersection, pre.branch_degree])
 
 
+@cache
+def _fixture(name: str) -> tuple[BlowupLattice, tuple[DivisorClass, ...]]:
+    """The lattice and classes of a shipped nodal fixture, read once."""
+    doc = load_document(data_path(name))
+    lat = BlowupLattice(doc["lattice_n"])
+    return lat, tuple(lat.from_vector(v) for v in doc["classes"])
+
+
 def _scenario_lemma_numeri(rep: ScenarioReport) -> None:
     rep.add("identities", "at K^2 = -4 the relations force K.B0 = 8, B0^2 = -4",
             [8, -4], list(covers.numeri_identities(-4)))
@@ -277,8 +285,7 @@ def _scenario_lemma_numeri(rep: ScenarioReport) -> None:
             2, covers.double_cover_chi(lat.zero))
     # one lattice realizes the whole relation: 2L = B0 + C_1 + ... + C_10,
     # with the ten shipped nodal classes, on the rank-14 lattice (K^2 = -4)
-    doc = load_document(data_path("nodal10_rank14.json"))
-    nodal = [lat.from_vector(v) for v in doc["classes"]]
+    _, nodal = _fixture("nodal10_rank14.json")
     L = DivisorClass(1, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1))
     b0 = 2 * L - sum(nodal, lat.zero)
     k = lat.canonical
@@ -302,18 +309,14 @@ def _scenario_codes(rep: ScenarioReport) -> None:
             [codes.de_code(s).dim for s in range(1, 9)])
     rep.add("de-doubly-even", "every weight of DE(s), s <= 8, is divisible by 4",
             True, all(codes.is_doubly_even(codes.de_code(s)) for s in range(1, 9)))
-    doc = load_document(data_path("nodal_sides.json"))
-    lat = BlowupLattice(doc["lattice_n"])
-    classes = [lat.from_vector(v) for v in doc["classes"]]
+    lat, classes = _fixture("nodal_sides.json")
     v = codes.code_of_classes(classes, lat)
     rep.add("sides-code", "the four sides give the code spanned by (1,1,1,1)",
             [[1, 1, 1, 1]], v.to_rows())
     rep.add("sides-weights", "its weights are 0 and 4 (doubly even)",
             [[0, 1], [4, 1]],
             sorted([w, c] for w, c in codes.weights(v).items()))
-    doc = load_document(data_path("nodal10_rank14.json"))
-    lat = BlowupLattice(doc["lattice_n"])
-    classes = [lat.from_vector(v) for v in doc["classes"]]
+    lat, classes = _fixture("nodal10_rank14.json")
     v10 = codes.code_of_classes(classes, lat)
     rep.add("ten-nodal-dim",
             "ten disjoint nodal classes in a rank-14 lattice give dim V = 3 "

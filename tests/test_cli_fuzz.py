@@ -12,9 +12,9 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from bidouble.cli import main
+from bidouble.cli import _dumps, main
 from bidouble.examples import data_path, load_document
 
 SETTINGS = dict(database=None, deadline=None)
@@ -174,3 +174,41 @@ ARGUMENT = WORDS | st.integers(-3, 20).map(str) | TEXT
 @given(argv=st.lists(ARGUMENT, max_size=8))
 def test_fuzz_arguments(argv):
     run(argv)
+
+
+# keys and strings a JSON writer must escape: quotes, backslashes, control
+# and non-ASCII characters, lone surrogates
+ESCAPED = st.text(st.characters() | st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f\x85\u2028\ud800\udfff\U0001f600'),
+    max_size=6)
+LEAVES = (st.none() | st.booleans() | st.integers()
+          | st.integers(2**64, 2**200) | st.integers(-2**200, -2**64)
+          | st.floats() | ESCAPED)
+VALUES = st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(ESCAPED, inner, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(VALUES)
+@example([])
+@example({})
+@example([[], {}, ()])
+@example({"": {"\ud800": [2**64, -2**70, True, False, None]}})
+def test_json_writer_matches_the_standard_library(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_follows_the_reader_down(tmp_path):
+    # a name nested as deep as a document can be read: the writer must not
+    # refuse what the reader accepted
+    doc = load_document(data_path("example2.json"))
+    doc["name"] = json.loads("[" * 700 + "]" * 700)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["custom", str(path)]) == 0
+    report = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(report, indent=2) + "\n"

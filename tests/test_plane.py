@@ -483,6 +483,81 @@ def test_reducible_fibres_refuse_other_classes():
         reducible_fibres(cfg, DivisorClass(2, (0, 1, 0, 1, 1, 1)))
 
 
+def _memo_configurations():
+    # the configurations a process shares: P6, P7 and one general point
+    return (standard_quadrilateral(), standard_quadrilateral(with_p7=True),
+            standard_quadrilateral(with_general_point=True, seed=9))
+
+
+def test_memoised_h0_equals_a_fresh_configuration():
+    # a copy through the constructor starts with an empty memo, so it walks
+    # every class again; the shared configuration answers from its memo
+    rng = random.Random(2021)
+    checked = 0  # classes with sections checked against interpolation
+    for cfg in _memo_configurations():
+        n = cfg.lattice.n
+        classes = []
+        for _ in range(240):
+            d = rng.randint(-1, 14)
+            top = rng.choice((d, rng.randint(0, max(d, 0))))
+            classes.append(DivisorClass(d, tuple(rng.randint(-2, max(top, 0))
+                                                 for _ in range(n))))
+        classes += classes[:40]  # asked again
+        first = [h0_class(cfg, c) for c in classes]
+        assert all((c.degree, c.mults) in cfg._h0_memo for c in classes)
+        warm = [h0_class(cfg, c) for c in classes]
+        fresh = cfg.replace()
+        assert "_h0_memo" not in fresh.__dict__
+        cold = [h0_class(fresh, c) for c in classes]
+        assert first == warm == cold
+        # one entry per distinct class asked
+        assert len(fresh._h0_memo) == len(set(classes))
+        small = [(c, h0) for c, h0 in zip(classes, warm) if 0 <= c.degree <= 8]
+        for c, h0 in small[:10]:
+            assert h0 == interpolation_dimension(
+                cfg.points, c.degree,
+                [(i, m) for i, m in enumerate(c.mults) if m > 0]), c
+            checked += h0 > 0
+    assert checked >= 10
+
+
+def test_memoised_fibres_equal_a_fresh_configuration():
+    for cfg in _memo_configurations():
+        fresh = cfg.replace()
+        for deg, mults in cfg.conic_bundles:
+            F = DivisorClass(deg, mults)
+            first = reducible_fibres(cfg, F)
+            assert reducible_fibres(cfg, F) == first == reducible_fibres(fresh, F)
+        assert len(fresh._fibre_memo) == len(cfg.conic_bundles)
+
+
+def test_memo_never_stores_an_error():
+    cfg = standard_quadrilateral(with_p7=True)
+    h0_class(cfg, cfg.cls("f1"))
+    reducible_fibres(cfg, cfg.cls("f1"))
+    sizes = len(cfg._h0_memo), len(cfg._fibre_memo)
+    six = DivisorClass(2, (0, 1, 0, 1, 1, 1))
+    for _ in range(2):  # the second call raises as the first did
+        with pytest.raises(ValueError, match="lattice"):
+            h0_class(cfg, six)
+        with pytest.raises(ValueError, match="lattice"):
+            reducible_fibres(cfg, six)
+        with pytest.raises(ValueError, match="not a conic bundle"):
+            reducible_fibres(cfg, 2 * cfg.cls("f1"))
+    assert (len(cfg._h0_memo), len(cfg._fibre_memo)) == sizes
+
+
+def test_memoised_fibres_come_in_a_new_list():
+    cfg = standard_quadrilateral(with_p7=True)
+    C = cfg.cls("C")
+    members = reducible_fibres(cfg, C)
+    want = list(members)
+    members.pop()
+    members.append(members[0])
+    again = reducible_fibres(cfg, C)
+    assert again == want and again is not members
+
+
 def test_conic_bundles_match_a_brute_force():
     # every class of degree 0..6 and multiplicities -1..2 with F^2 = 0 and
     # -K.F = 2 that meets each negative curve non-negatively

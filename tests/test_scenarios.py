@@ -719,6 +719,16 @@ def test_cli_output_bytes_are_pinned(case, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_cli_output_is_pinned_on_a_warm_process(capsys):
+    # the second run answers every h^0 and fibre question from the
+    # configurations' memos, and must print the same bytes
+    argv, code, digest = _GOLDEN["verify-json"]
+    for _ in range(2):
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_cli_parser_names_every_scenario():
     from bidouble import cli
 
