@@ -32,8 +32,8 @@ A member of a conic-bundle pencil |F| (F^2 = 0, K.F = -2, F nef) pulls
 back with multiplicity 2 exactly when each of its components is either a
 branch component or carries even multiplicity.  The general members in
 the branch locus and the reducible members from ``plane.reducible_fibres``
-(read off every negative curve orthogonal to F, with no search) give the
-number of double fibres; other pencil classes are refused.
+(each a (-1)-curve E plus the fixed part of |F - E|, with no search) give
+the number of double fibres; other pencil classes are refused.
 
 ``resolve_111`` blows up a general point on one named member of each D_i
 (the (1,1,1)-point degeneration), which lowers K^2 of the minimal model by 1.

@@ -28,9 +28,9 @@ or 2) and every answer is lattice arithmetic on its negative curves:
 * ``h0_fat_points`` -- the dimension of the degree-d forms with prescribed
   multiplicities at the configuration's points: ``h0_class`` of (d; m_i);
 * ``reducible_fibres`` -- the reducible members of a conic bundle |F|
-  (F^2 = 0, K.F = -2, F nef), read off the negative curves orthogonal to F
-  with no search: each connected set of them supports one member, whose
-  coefficients are solved exactly and checked by re-summing.
+  (F^2 = 0, K.F = -2, F nef), with no search: each one contains a
+  (-1)-curve E, and the rest of it is the fixed part of |F - E|, which the
+  walk of ``h0_class`` splits off.
 
 ``h0_class`` and ``reducible_fibres`` keep each answer on the configuration
 by the class's (degree, mults), one entry per distinct class asked, for as
@@ -372,6 +372,28 @@ def h0_fat_points(cfg: PointConfiguration, system: FatPointSystem) -> int:
     return h0_class(cfg, DivisorClass(system.degree, tuple(mults)))
 
 
+def _fixed_part(cfg: PointConfiguration, deg: int, mults: tuple[int, ...]):
+    """The walk of ``h0_class`` on the class (deg; mults): None when it has
+    no sections, else its nef residue (degree, mults) and the copies split
+    off, {index into ``negative_entries``: count}."""
+    curves, split = cfg._negative_curves, {}
+    for step in itertools.count(1):
+        if deg < 0 or 3 * deg < sum(mults) or step % _SCREEN == 0 and any(
+                deg * f_deg < sum(map(mul, mults, f_mults))
+                for f_deg, f_mults in cfg.conic_bundles):
+            return None
+        for i, (c_deg, c_mults, c_neg) in enumerate(curves):
+            meet = deg * c_deg - sum(map(mul, mults, c_mults))
+            if meet < 0:
+                k = -(meet // c_neg)
+                deg -= k * c_deg
+                mults = tuple(a - k * b for a, b in zip(mults, c_mults))
+                split[i] = split.get(i, 0) + k
+                break
+        else:
+            return (deg, mults), split
+
+
 def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
     """h^0 of a divisor class on the blowup, by lattice arithmetic alone.
 
@@ -390,28 +412,16 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
     """
     if d.n != cfg.lattice.n:
         raise ValueError("class does not live on the configuration's lattice")
-    deg, mults = key = d.degree, d.mults
+    key = d.degree, d.mults
     h0 = cfg._h0_memo.get(key)
     if h0 is not None:
         return h0
-    curves = cfg._negative_curves
-    for step in itertools.count(1):
-        if deg < 0 or 3 * deg < sum(mults) or step % _SCREEN == 0 and any(
-                deg * f_deg < sum(map(mul, mults, f_mults))
-                for f_deg, f_mults in cfg.conic_bundles):
-            h0 = 0
-            break
-        for c_deg, c_mults, c_neg in curves:
-            meet = deg * c_deg - sum(map(mul, mults, c_mults))
-            if meet < 0:
-                k = -(meet // c_neg)
-                deg -= k * c_deg
-                mults = tuple(a - k * b for a, b in zip(mults, c_mults))
-                break
-        else:
-            h0 = 1 + (deg * deg - sum(m * m for m in mults)
-                      + 3 * deg - sum(mults)) // 2
-            break
+    walk = _fixed_part(cfg, *key)
+    h0 = 0
+    if walk is not None:
+        (deg, mults), _ = walk
+        h0 = 1 + (deg * deg - sum(m * m for m in mults)
+                  + 3 * deg - sum(mults)) // 2
     cfg._h0_memo[key] = h0
     return h0
 
@@ -420,57 +430,29 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
 # reducible members of conic bundles
 
 
-def _coefficients(columns, target) -> list[int] | None:
-    """Integers a with sum(a_i * columns[i]) == target, by fraction-free
-    elimination, for linearly independent integer columns.
-
-    None when the columns are dependent or a quotient is not exact; an
-    inconsistent system also yields a vector, which the caller's re-sum
-    rejects.
-    """
-    k = len(columns)
-    rows = [list(r) for r in zip(*columns, target)]
-    pivots = []
-    for i in range(k):
-        pivot = next((r for r in rows if r[i]), None)
-        if pivot is None:
-            return None
-        rows.remove(pivot)
-        p = pivot[i]
-        rows = [[p * x - r[i] * y for x, y in zip(r, pivot)] if r[i] else r
-                for r in rows]
-        pivots.append(pivot)
-    a = [0] * k
-    for i in reversed(range(k)):
-        row = pivots[i]
-        a[i], rest = divmod(row[k] - sum(map(mul, row[i + 1:k], a[i + 1:])),
-                            row[i])
-        if rest:
-            return None
-    return a
-
-
 def reducible_fibres(cfg: PointConfiguration, F: DivisorClass):
     """Every reducible member of the conic bundle |F|.
 
     F must be one of ``cfg.conic_bundles``: F^2 = 0, K.F = -2 and F.C >= 0
     for every negative curve C (then |F| is a base-point-free pencil of
     conics); otherwise ``ValueError``.  A component of a reducible member
-    meets F in 0 and has negative self-intersection, so the members are read
-    off the entries of ``negative_entries`` orthogonal to F, with no search: by
-    Zariski's lemma each connected component of those curves (C.C' > 0)
-    is the support of exactly one member.  Its curves are linearly
-    independent, so the coefficients a_i with sum a_i C_i = F are unique;
-    they are solved exactly and checked by re-summing.
+    meets F in 0 and has negative self-intersection, so it is one of the
+    entries of ``negative_entries`` orthogonal to F.  Each reducible member
+    contains a (-1)-curve E, since K.F = -2 and a (-2)-curve has K.C = 0;
+    the member minus E is then the whole of |F - E|, a fixed part, which
+    the walk of ``h0_class`` splits off exactly.  The members are checked
+    to end in a zero residue and to share no curve, and their curves to be
+    exactly those orthogonal to F.
 
-    Returns the members as tuples of (entry, coefficient) pairs, ordered by
-    their first curve in ``negative_entries``.
+    Returns the members as tuples of (entry, coefficient) pairs, the curves
+    of a member and the members ordered by their place in
+    ``negative_entries``.
 
     >>> cfg = standard_quadrilateral()
     >>> for member in reducible_fibres(cfg, cfg.cls("f1")):
     ...     print(" + ".join(f"{a}*{e.name}" for e, a in member))
-    1*S1 + 2*e1 + 1*S4
-    1*S2 + 2*e3 + 1*S3
+    1*S1 + 1*S4 + 2*e1
+    1*S2 + 1*S3 + 2*e3
     1*Delta2 + 1*Delta3
     """
     if F.n != cfg.lattice.n:
@@ -485,29 +467,27 @@ def reducible_fibres(cfg: PointConfiguration, F: DivisorClass):
             "self-intersection 0, K-degree -2 and meet every negative curve "
             "non-negatively")
     curves = cfg._negative_curves
-    left = [i for i, (c_deg, c_mults, _) in enumerate(curves)
-            if deg * c_deg == sum(map(mul, mults, c_mults))]
-
-    def meet(i, j):
-        (d, m, _), (e, n, _) = curves[i], curves[j]
-        return d * e - sum(map(mul, m, n))
-
-    members = []
-    while left:
-        support = [left.pop(0)]
-        for i in support:  # the list grows while it is walked
-            near = [j for j in left if meet(i, j) > 0]
-            support += near
-            left = [j for j in left if j not in near]
-        # solve and re-sum on the vectors (d, m_1, ..., m_n)
-        columns = [(curves[i][0],) + curves[i][1] for i in support]
-        a = _coefficients(columns, (deg,) + mults)
-        entries = [cfg.negative_entries[i] for i in support]
-        if a is None or min(a) < 1 or \
-                [sum(map(mul, a, row)) for row in zip(*columns)] != [deg, *mults]:
-            raise ValueError(
-                f"the negative curves {[e.name for e in entries]} orthogonal "
-                f"to {F} do not sum to it")
-        members.append(tuple(zip(entries, a)))
-    cfg._fibre_memo[key] = tuple(members)
-    return members
+    orthogonal = [i for i, (c_deg, c_mults, _) in enumerate(curves)
+                  if deg * c_deg == sum(map(mul, mults, c_mults))]
+    zero, supports, placed = (0, (0,) * len(mults)), [], set()
+    for e in orthogonal:
+        c_deg, c_mults, c_neg = curves[e]
+        if c_neg != 1 or e in placed:
+            continue
+        walk = _fixed_part(cfg, deg - c_deg,
+                           tuple(a - b for a, b in zip(mults, c_mults)))
+        if walk is None or walk[0] != zero or placed & walk[1].keys():
+            break  # e stays unplaced, so the check below raises
+        split = walk[1]
+        split[e] = split.get(e, 0) + 1
+        placed |= split.keys()
+        supports.append(split)
+    if placed != set(orthogonal):
+        names = [cfg.negative_entries[i].name for i in orthogonal]
+        raise ValueError(f"the negative curves {names} orthogonal to {F} "
+                         "do not sum to it")
+    entries = cfg.negative_entries
+    members = tuple(tuple((entries[i], a) for i, a in sorted(s.items()))
+                    for s in sorted(supports, key=min))
+    cfg._fibre_memo[key] = members
+    return list(members)

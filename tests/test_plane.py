@@ -7,9 +7,10 @@ from math import gcd, perm
 import pytest
 
 from bidouble.lattice import BlowupLattice, DivisorClass
-from bidouble.plane import (_LINES, FatPointSystem, PointConfiguration,
-                            _on_a_conic, _quadrilateral, collinear, det3, h0_class,
-                            h0_fat_points, reducible_fibres, standard_quadrilateral)
+from bidouble.plane import (_LINES, CurveEntry, FatPointSystem, PointConfiguration,
+                            _fixed_part, _on_a_conic, _quadrilateral, collinear,
+                            det3, h0_class, h0_fat_points, reducible_fibres,
+                            standard_quadrilateral)
 from reference import (effective_decompositions, interpolation_dimension,
                        rank_rational, sum_of_decomposition)
 
@@ -443,9 +444,9 @@ def test_reducible_fibres_of_c_on_p7():
     C = cfg.cls("C")
     members = reducible_fibres(cfg, C)
     assert [[(e.name, a) for e, a in m] for m in members] == [
-        [("S1", 1), ("l-e3-e7", 2), ("S4", 1)],
-        [("S2", 1), ("l-e1-e7", 2), ("S3", 1)],
-        [("Delta2bar", 1), ("Delta1", 2), ("Delta3bar", 1)],
+        [("S1", 1), ("S4", 1), ("l-e3-e7", 2)],
+        [("S2", 1), ("S3", 1), ("l-e1-e7", 2)],
+        [("Delta2bar", 1), ("Delta3bar", 1), ("Delta1", 2)],
     ]
     _check_fibration(cfg, C, members)
     assert [d for d in effective_decompositions(cfg, C) if len(d) > 1] == \
@@ -489,19 +490,23 @@ def _memo_configurations():
             standard_quadrilateral(with_general_point=True, seed=9))
 
 
+def _seeded_classes(rng, n):
+    classes = []
+    for _ in range(240):
+        d = rng.randint(-1, 14)
+        top = rng.choice((d, rng.randint(0, max(d, 0))))
+        classes.append(DivisorClass(d, tuple(rng.randint(-2, max(top, 0))
+                                             for _ in range(n))))
+    return classes
+
+
 def test_memoised_h0_equals_a_fresh_configuration():
     # a copy through the constructor starts with an empty memo, so it walks
     # every class again; the shared configuration answers from its memo
     rng = random.Random(2021)
     checked = 0  # classes with sections checked against interpolation
     for cfg in _memo_configurations():
-        n = cfg.lattice.n
-        classes = []
-        for _ in range(240):
-            d = rng.randint(-1, 14)
-            top = rng.choice((d, rng.randint(0, max(d, 0))))
-            classes.append(DivisorClass(d, tuple(rng.randint(-2, max(top, 0))
-                                                 for _ in range(n))))
+        classes = _seeded_classes(rng, cfg.lattice.n)
         classes += classes[:40]  # asked again
         first = [h0_class(cfg, c) for c in classes]
         assert all((c.degree, c.mults) in cfg._h0_memo for c in classes)
@@ -521,6 +526,42 @@ def test_memoised_h0_equals_a_fresh_configuration():
     assert checked >= 10
 
 
+def test_fibres_refuse_a_wrong_curve_table():
+    # S4 and e1 lie in the member S1 + S4 + 2e1 of f1 on P6, Delta3 in
+    # Delta2 + Delta3; with e1 gone that member has no (-1)-curve left to
+    # walk from, so only the check that every curve orthogonal to F is
+    # placed catches it.  The (-1)-class f1 - e1 = S1 + S4 + e1 is no
+    # curve: listed as one, its walk splits off e1 a second time
+    p6 = standard_quadrilateral()
+    table, f1 = p6.negative_entries, p6.cls("f1")
+    bogus = CurveEntry("f1-e1", f1 - p6.cls("e1"), "conic")
+    wrong = [tuple(e for e in table if e.name != name)
+             for name in ("S4", "e1", "Delta3")] + [table + (bogus,)]
+    for entries in wrong:
+        cfg = p6.replace()
+        cfg.__dict__["negative_entries"] = entries
+        with pytest.raises(ValueError, match="do not sum to it"):
+            reducible_fibres(cfg, f1)
+        assert not cfg._fibre_memo
+
+
+def test_fixed_part_splits_the_class_into_curves_and_a_nef_residue():
+    # the seeded classes of test_memoised_h0_equals_a_fresh_configuration
+    rng = random.Random(2021)
+    for cfg in _memo_configurations():
+        curves = cfg.negative_entries
+        for c in _seeded_classes(rng, cfg.lattice.n):
+            walk = _fixed_part(cfg, c.degree, c.mults)
+            assert (walk is None) == (h0_class(cfg, c) == 0), c
+            if walk is None:
+                continue
+            residue, split = DivisorClass(*walk[0]), walk[1]
+            assert all(k >= 1 for k in split.values())
+            assert residue + sum((k * curves[i].cls for i, k in split.items()),
+                                 cfg.lattice.zero) == c
+            assert all(residue.dot(e.cls) >= 0 for e in curves), c
+
+
 def test_memoised_fibres_equal_a_fresh_configuration():
     for cfg in _memo_configurations():
         fresh = cfg.replace()
@@ -528,6 +569,7 @@ def test_memoised_fibres_equal_a_fresh_configuration():
             F = DivisorClass(deg, mults)
             first = reducible_fibres(cfg, F)
             assert reducible_fibres(cfg, F) == first == reducible_fibres(fresh, F)
+            _check_fibration(cfg, F, first)
         assert len(fresh._fibre_memo) == len(cfg.conic_bundles)
 
 
