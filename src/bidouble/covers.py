@@ -174,6 +174,12 @@ class BidoubleData(Record):
         return d1 + d2 + d3
 
     @cached_property
+    def _residuals(self) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
+        """(D - D_1, D - D_2, D - D_3), what a component of D_i meets."""
+        d1, d2, d3 = self._branch_classes
+        return d2 + d3, d1 + d3, d1 + d2
+
+    @cached_property
     def L3(self) -> DivisorClass:
         """The derived L_3 = L_1 + L_2 - D_3, with 2L_3 = D_1 + D_2."""
         return self.L1 + self.L2 - self._branch_classes[2]
@@ -209,7 +215,7 @@ def branch_preimage(bd: BidoubleData, name: str) -> BranchPreimage:
 
 def _preimage(bd: BidoubleData, comp: BranchComponent) -> BranchPreimage:
     name = comp.name
-    b = comp.cls.dot(bd.branch_total - bd.branch_class(comp.branch))
+    b = comp.cls.dot(bd._residuals[comp.branch - 1])
     sq = comp.cls.dot(comp.cls)
     if b == 0:
         if sq % 2 != 0:

@@ -34,16 +34,20 @@ class LatticeMismatchError(ValueError):
 
 class Record:
     """Base of the package's records.  The names in ``__slots__`` are the
-    fields, in order (a trailing ``"__dict__"`` only holds the values of
-    ``cached_property`` attributes).  The constructor sets each field once
-    with ``_set``; equality, hash, repr and pickling go by the fields, and
-    ``replace`` copies a record through its constructor, checks included."""
+    fields, in order, then the private slots, whose names start with ``_``:
+    values the constructor derives from the fields, and a trailing
+    ``"__dict__"`` that only holds the values of ``cached_property``
+    attributes.  The constructor sets each field, then each derived value,
+    once with ``_set``; equality, hash, repr and pickling go by the fields
+    alone, and ``replace`` copies a record through its constructor, checks
+    and derived values included."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._names = tuple(n for n in cls.__slots__ if n != "__dict__")
-        cls._setters = tuple(getattr(cls, n).__set__ for n in cls._names)
+        cls._names = tuple(n for n in cls.__slots__ if n[0] != "_")
+        cls._setters = tuple(getattr(cls, n).__set__
+                             for n in cls.__slots__ if n != "__dict__")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -105,8 +109,14 @@ class DivisorClass(Record):
         object.__setattr__(out, "mults", mults)
         return out
 
-    def _fields(self) -> tuple:  # spelled out: equality and hash are hot
-        return self.degree, self.mults
+    # spelled out, not Record's: equality and hash are hot
+    def __eq__(self, other):
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
+        return self.degree == other.degree and self.mults == other.mults
+
+    def __hash__(self):
+        return hash((self.degree, self.mults))
 
     @property
     def n(self) -> int:
@@ -142,7 +152,8 @@ class DivisorClass(Record):
 
     def dot(self, other: "DivisorClass") -> int:
         """Intersection product d*d' - sum m_i*m_i'."""
-        self._same_rank(other)
+        if len(self.mults) != len(other.mults):
+            self._same_rank(other)
         return self.degree * other.degree - sum(map(mul, self.mults, other.mults))
 
     def mod2(self) -> tuple[int, ...]:

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from bidouble.covers import (BidoubleData, BranchComponent, IncidenceError,
-                             RelationError, analyse, branch_preimage,
-                             contraction_count, count_double_fibres,
-                             double_cover_chi, etale_double,
-                             fibre_multiplicity, numeri_identities,
-                             resolve_111, slope_check)
+from bidouble.covers import (BidoubleData, BranchComponent, BranchPreimage,
+                             IncidenceError, RelationError, analyse,
+                             branch_preimage, contraction_count,
+                             count_double_fibres, double_cover_chi,
+                             etale_double, fibre_multiplicity,
+                             numeri_identities, resolve_111, slope_check)
 from bidouble.examples import example1, example2, example3, halve
 from bidouble.lattice import BlowupLattice, DivisorClass
 from bidouble.plane import PointConfiguration, standard_quadrilateral
@@ -165,6 +165,33 @@ def test_branch_preimage_example2_contractions():
     for name in ("S1", "S2", "S3", "S4", "Delta2bar"):
         assert branch_preimage(bd, name).contracted == 2
     assert contraction_count(bd) == 10
+
+
+def _preimage_from_scratch(bd, comp):
+    """The preimage record of a component, from a fresh D - D_i."""
+    b = comp.cls.dot(bd.branch_total - bd.branch_class(comp.branch))
+    sq = comp.cls.dot(comp.cls)
+    if b:
+        return BranchPreimage(comp.name, b, False, 1, sq, b // 2 - 1, 0)
+    return BranchPreimage(comp.name, 0, True, 2, sq // 2, 0,
+                          2 if sq == -2 else 0)
+
+
+def test_branch_preimage_matches_a_fresh_residual():
+    # each cover works out D - D_i once per branch divisor; every preimage,
+    # on the shipped covers, their (1,1,1) resolutions and fresh copies,
+    # matches one worked out from scratch
+    cfg = standard_quadrilateral(with_general_point=True, seed=3)
+    built = [example1(), example2(), example3(),
+             resolve_111(example1(), cfg, THROUGH),
+             resolve_111(example1(), cfg, ("f2", "f3", "f1p"))]
+    for bd in built + [bd.replace() for bd in built]:
+        assert bd._residuals is bd._residuals == tuple(
+            bd.branch_total - bd.branch_class(i) for i in (1, 2, 3))
+        want = [_preimage_from_scratch(bd, c) for c in bd.components]
+        assert [branch_preimage(bd, c.name) for c in bd.components] == want
+        assert contraction_count(bd) == sum(
+            c.count * p.contracted for c, p in zip(bd.components, want))
 
 
 def test_branch_preimage_corrupt_inputs():

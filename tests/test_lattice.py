@@ -214,6 +214,26 @@ def test_class_arithmetic_matches_public_constructor(data):
             op()
 
 
+@settings(database=None, deadline=None)
+@given(st.data())
+def test_class_equality_and_hash_go_by_the_vector(data):
+    # DivisorClass compares and hashes its (degree, mults) directly
+    small = st.integers(-2, 2) | st.integers(-10**12, 10**12)
+    a = data.draw(st.lists(small, min_size=1, max_size=9))
+    b = data.draw(st.just(list(a)) | st.lists(small, min_size=1, max_size=9))
+    n, m = len(a) - 1, len(b) - 1
+    A, B = DivisorClass.from_vector(a), DivisorClass.from_vector(b)
+    assert hash(A) == hash((A.degree, A.mults))
+    assert (A == B) is (B == A) is (a == b) is not (A != B)
+    assert A.__eq__((A.degree, A.mults)) is NotImplemented
+    assert A.__eq__(BlowupLattice(n)) is NotImplemented
+    assert A != (A.degree, A.mults) and A != BlowupLattice(n)
+    if n != m:
+        with pytest.raises(LatticeMismatchError,
+                           match=f"^rank mismatch: {n + 1} vs {m + 1}$"):
+            A.dot(B)
+
+
 def test_non_integral_entries_rejected():
     # int() would truncate these: 1.9 to 1, 2.5 to 2, Fraction(1, 2) to 0
     with pytest.raises(TypeError):

@@ -12,6 +12,7 @@ import pytest
 import bidouble
 from bidouble.cli import _build_parser, main
 from bidouble.covers import RelationError
+from bidouble.lattice import DivisorClass
 from bidouble.plane import standard_quadrilateral
 from bidouble.scenarios import (SCENARIO_NAMES, data_path, load_document,
                                 run_custom, run_scenario)
@@ -168,6 +169,41 @@ def test_cli_verify_exit_codes(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [r["scenario"] for r in payload] == list(SCENARIO_NAMES)
     assert all(r["summary"]["failed"] == 0 for r in payload)
+
+
+@pytest.mark.parametrize("name, computed, shown", (
+    ("bounds", (1, (2, 3)), "[1, [2, 3]]"),
+    ("lemma-numeri", DivisorClass(4, (2, 1)), "[4, 2, 1]"),
+))
+def test_cli_verify_reports_a_failing_check(name, computed, shown,
+                                            monkeypatch, capsys):
+    # a failing check prints its JSON forms: a tuple and a class both show
+    # as lists, in text and in JSON, and the command exits 1
+    from bidouble import scenarios
+
+    body = scenarios._SCENARIOS[name]
+
+    def planted(rep):
+        body(rep)
+        rep.add("planted", "a claim that does not hold", [0], computed)
+
+    monkeypatch.setitem(scenarios._SCENARIOS, name, planted)
+    assert main(["verify", name]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # a header, a line per check, a second line for the failure, a summary
+    total = len(lines) - 3
+    assert lines[-3:] == [
+        "  [FAIL] planted: a claim that does not hold",
+        f"         expected [0] != computed {shown}",
+        f"summary: {total - 1}/{total} checks passed"]
+    assert main(["verify", name, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][-1] == {
+        "id": "planted", "anchor": "a claim that does not hold",
+        "expected": [0], "computed": json.loads(shown), "pass": False}
+    assert [c["pass"] for c in report["checks"]] == [True] * (total - 1) + [False]
+    assert report["summary"] == {"total": total, "passed": total - 1,
+                                 "failed": 1}
 
 
 def test_cli_verify_json_deterministic(capsys):
@@ -786,22 +822,48 @@ def test_records_keep_their_dataclass_behaviour(name):
 def test_records_cache_out_of_their_fields():
     records = _records()
     cfg, bd = records["PointConfiguration"], records["BidoubleData"]
-    check = records["Check"]
-    fresh = [r.replace() for r in (cfg, bd, check)]
+    fresh = [r.replace() for r in (cfg, bd)]
     assert cfg.negative_entries is cfg.negative_entries
     assert bd.branch_total is bd.branch_total
     assert bd._branch_classes is bd._branch_classes
-    assert check.passed is True
     # a fresh configuration has derived its collinear triples, and a fresh
     # cover its branch classes, to check them
     assert [set(copy.__dict__) for copy in fresh] == [
-        {"collinear_triples"}, {"_tally", "_branch_classes"}, set()]
+        {"collinear_triples"}, {"_tally", "_branch_classes"}]
     # a cached value is no field: equality, hash and repr ignore it
-    for record, copy in zip((cfg, bd, check), fresh):
+    for record, copy in zip((cfg, bd), fresh):
         assert "__dict__" not in record._asdict() and record.__dict__
         assert not record.__dict__.keys() & record._asdict().keys()
         assert copy == record
         assert hash(copy) == hash(record) and repr(copy) == repr(record)
+
+
+def test_check_converts_to_json_in_its_constructor(monkeypatch):
+    from bidouble import scenarios
+
+    calls = []
+    jsonify = scenarios._jsonify
+    monkeypatch.setattr(scenarios, "_jsonify",
+                        lambda value: calls.append(value) or jsonify(value))
+    expected, computed = (1, DivisorClass(2, (0, 1))), (1, (2, 0, 1))
+    check = scenarios.Check("id", "anchor", expected, computed)
+    converted = len(calls)  # _jsonify recurses through the module name
+    assert calls[0] is expected and computed in calls[1:]
+    assert not hasattr(check, "__dict__")
+    report = scenarios.ScenarioReport("bounds", 0, [check])
+    report.to_dict(), report.to_text(), report.passed
+    assert len(calls) == converted
+    assert check._expected_json == check._computed_json == [1, [2, 0, 1]]
+    # the JSON forms are no fields: equality, hash and repr ignore them, and
+    # pickle and replace go through the constructor, which converts again
+    odd = object.__new__(scenarios.Check)
+    odd._set("id", "anchor", expected, computed, "stale", None)
+    assert scenarios.Check._names == ("id", "anchor", "expected", "computed")
+    assert odd == check and hash(odd) == hash(check) and repr(odd) == repr(check)
+    assert not odd.passed
+    for copy in (pickle.loads(pickle.dumps(odd)), odd.replace()):
+        assert copy == check and copy.passed
+        assert copy._expected_json == copy._computed_json == [1, [2, 0, 1]]
 
 
 def test_record_replace_runs_the_checks_again():
