@@ -34,20 +34,16 @@ class LatticeMismatchError(ValueError):
 
 class Record:
     """Base of the package's records.  The names in ``__slots__`` are the
-    fields, in order, then the private slots, whose names start with ``_``:
-    values the constructor derives from the fields, and a trailing
-    ``"__dict__"`` that only holds the values of ``cached_property``
-    attributes.  The constructor sets each field, then each derived value,
-    once with ``_set``; equality, hash, repr and pickling go by the fields
-    alone, and ``replace`` copies a record through its constructor, checks
-    and derived values included."""
+    fields, in order (a trailing ``"__dict__"`` only holds the values of
+    ``cached_property`` attributes).  The constructor sets each field once
+    with ``_set``; equality, hash, repr and pickling go by the fields, and
+    ``replace`` copies a record through its constructor, checks included."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._names = tuple(n for n in cls.__slots__ if n[0] != "_")
-        cls._setters = tuple(getattr(cls, n).__set__
-                             for n in cls.__slots__ if n != "__dict__")
+        cls._names = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls._names)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -13,26 +13,22 @@ from the shipped cover documents ``data/example{1,2,3}.json``.
 user-supplied cover document without pinned expectations and reports the
 computed invariants only.
 
-The CLI imports this module for ``verify`` and ``custom`` only.  Its
-records, like every record of the package, are ``__slots__`` classes on
-``lattice.Record``.
+The CLI imports this module for ``verify`` and ``custom`` only.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cache
 
 from . import covers, examples
 from .examples import (configuration_of, cover_from_document, data_path,
                        load_document)
-from .lattice import (BlowupLattice, DivisorClass, Record, arithmetic_genus,
+from .lattice import (BlowupLattice, DivisorClass, arithmetic_genus,
                       castelnuovo_bound, riemann_roch_chi)
 from .plane import h0_class, standard_quadrilateral
 
 __all__ = [
     "SCENARIO_NAMES",
-    "Check",
     "ScenarioReport",
     "ScenarioAbort",
     "run_scenario",
@@ -48,76 +44,62 @@ DECOMPOSITION_DEPTH = 2
 
 
 def _jsonify(value):
+    if type(value) in (int, bool, str, type(None)):  # the common case, first
+        return value
     if isinstance(value, DivisorClass):
         return value.to_vector()
     if isinstance(value, (tuple, list)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
     raise TypeError(f"cannot serialize {value!r}")
 
 
-class Check(Record):
-    # the private slots hold expected and computed as JSON values
-    __slots__ = ("id", "anchor", "expected", "computed",
-                 "_expected_json", "_computed_json")
+class ScenarioReport:
+    """The checks of one scenario run, each kept as the dict it prints.
 
-    def __init__(self, id: str, anchor: str, expected, computed):
-        self._set(id, anchor, expected, computed,
-                  _jsonify(expected), _jsonify(computed))
+    >>> rep = ScenarioReport("bounds", 0)
+    >>> rep.add("ok", "a claim that holds", (1, 2), [1, 2])
+    >>> rep.add("bad", "a claim that does not hold", [0], (1,))
+    >>> rep.passed, rep.to_dict()["summary"]
+    (False, {'total': 2, 'passed': 1, 'failed': 1})
+    >>> print(rep.to_text())
+    scenario bounds  (seed=0)
+      [PASS] ok: a claim that holds
+      [FAIL] bad: a claim that does not hold
+             expected [0] != computed [1]
+    summary: 1/2 checks passed
+    """
 
-    @property
-    def passed(self) -> bool:
-        return self._expected_json == self._computed_json
-
-    def to_dict(self) -> dict:
-        expected, computed = self._expected_json, self._computed_json
-        return {"id": self.id, "anchor": self.anchor, "expected": expected,
-                "computed": computed, "pass": expected == computed}
-
-
-class ScenarioReport(Record):
     __slots__ = ("scenario", "seed", "checks")
-    # the one mutable record: unhashable, and its fields can be reassigned
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-    __hash__ = None
 
-    def __init__(self, scenario: str, seed: int, checks: list[Check] | None = None):
-        self._set(scenario, seed, [] if checks is None else checks)
+    def __init__(self, scenario: str, seed: int):
+        self.scenario, self.seed, self.checks = scenario, seed, []
 
     def add(self, id: str, anchor: str, expected, computed) -> None:
-        self.checks.append(Check(id, anchor, expected, computed))
+        expected, computed = _jsonify(expected), _jsonify(computed)
+        self.checks.append({"id": id, "anchor": anchor, "expected": expected,
+                            "computed": computed, "pass": expected == computed})
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c["pass"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        checks = [c.to_dict() for c in self.checks]
-        total, good = len(checks), sum(c["pass"] for c in checks)
+        total, good = len(self.checks), sum(c["pass"] for c in self.checks)
         return {
             "scenario": self.scenario,
             "seed": self.seed,
             "decomposition_depth": DECOMPOSITION_DEPTH,
-            "checks": checks,
+            "checks": self.checks,
             "summary": {"total": total, "passed": good, "failed": total - good},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_text(self) -> str:
         lines = [f"scenario {self.scenario}  (seed={self.seed})"]
-        for c in self.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            line = f"  [{mark}] {c.id}: {c.anchor}"
-            if not c.passed:
-                line += (f"\n         expected {c._expected_json} != "
-                         f"computed {c._computed_json}")
-            lines.append(line)
-        good = sum(1 for c in self.checks if c.passed)
+        for id, anchor, expected, computed, ok in map(dict.values, self.checks):
+            lines.append(f"  [{'PASS' if ok else 'FAIL'}] {id}: {anchor}")
+            if not ok:
+                lines.append(f"         expected {expected} != computed {computed}")
+        good = sum(c["pass"] for c in self.checks)
         lines.append(f"summary: {good}/{len(self.checks)} checks passed")
         return "\n".join(lines)
 
@@ -374,7 +356,7 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
     try:
         _SCENARIOS[name](rep)
     except Exception as exc:
-        last = rep.checks[-1].id if rep.checks else "none"
+        last = rep.checks[-1]["id"] if rep.checks else "none"
         raise ScenarioAbort(
             f"scenario {name!r} aborted after check {last!r}: {exc}") from exc
     return rep
