@@ -71,25 +71,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dumps(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for dicts with str
     keys, in about half the time of the pure-Python encoder that ``indent``
-    selects; other leaves (a float in a document's name) go to ``json``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    parts = []  # a loop, not a comprehension: one frame per level of nesting
+    selects.  Items of exact type str, int, bool or None are written in the
+    loop; other leaves (a float, an IntEnum) go to ``json``."""
     if isinstance(value, dict):
-        for k, v in value.items():
-            parts.append(encode_basestring_ascii(k) + ": " + _dumps(v, inner))
-        ends = "{}"
+        items, ends = value.items(), "{}"
     elif isinstance(value, (list, tuple)):
-        for v in value:
-            parts.append(_dumps(v, inner))
-        ends = "[]"
+        items, ends = zip(value, value), "[]"  # the key is not written
     else:
         return json.dumps(value)
+    inner = indent + "  "
+    parts = []  # a loop, not a comprehension: one frame per level of nesting
+    for k, v in items:
+        t = type(v)
+        if t is str:
+            v = encode_basestring_ascii(v)
+        elif t is int:
+            v = repr(v)
+        elif t is bool or v is None:
+            v = "null" if v is None else "true" if v else "false"
+        else:
+            v = _dumps(v, inner)
+        parts.append(v if ends == "[]" else encode_basestring_ascii(k) + ": " + v)
     return (ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
             if parts else ends)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from operator import index, or_
+from operator import index, mul, or_
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -132,13 +132,13 @@ class BinaryCode:
 
 def _check_nodal(classes, lat: BlowupLattice) -> None:
     for c in classes:
-        if c.n != lat.n:
+        if len(c.mults) != lat.n:
             raise NodalInputError("class does not live on the given lattice")
-        if c.dot(c) != -2:
+        if c.degree * c.degree - sum(map(mul, c.mults, c.mults)) != -2:
             raise NodalInputError(f"{c} has self-intersection {c.dot(c)}, not -2")
     for i, a in enumerate(classes):
         for b in classes[i + 1:]:
-            if a.dot(b) != 0:
+            if a.degree * b.degree != sum(map(mul, a.mults, b.mults)):
                 raise NodalInputError(f"{a} and {b} are not disjoint")
 
 
@@ -152,8 +152,8 @@ def code_of_classes(classes, lat: BlowupLattice) -> BinaryCode:
     # augmented rows: image of C_j in bits 0..n, then bit n+1+j; the reduced
     # rows whose image part vanishes span the kernel
     shift = lat.rank
-    rows = _rref2(_bits(c.mod2(), shift) | 1 << (shift + j)
-                  for j, c in enumerate(classes))
+    rows = _rref2(sum((x & 1) << i for i, x in enumerate((c.degree, *c.mults)))
+                  | 1 << (shift + j) for j, c in enumerate(classes))
     kernel = [row >> shift for row in rows if not row & ((1 << shift) - 1)]
     return BinaryCode(len(classes), kernel)
 

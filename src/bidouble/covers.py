@@ -117,25 +117,44 @@ class BidoubleData(Record):
     def __init__(self, configuration: PointConfiguration,
                  components: tuple[BranchComponent, ...], L1: DivisorClass,
                  L2: DivisorClass, l_provenance: str = "given"):  # or "derived"
-        names = [c.name for c in components]
-        if len(set(names)) != len(names):
+        n = configuration.lattice.n
+        if len({c.name for c in components}) != len(components):
             raise ValueError("branch components must be pairwise distinct")
+        tally = {}  # (branch, class) -> number of members
         for c in components:
-            if c.cls.n != configuration.lattice.n:
+            if len(c.cls.mults) != n:
                 raise ValueError(f"component {c.name} lives on the wrong lattice")
+            tally[c.branch, c.cls] = tally.get((c.branch, c.cls), 0) + c.count
         for lname, cls in (("L1", L1), ("L2", L2)):
-            if cls.n != configuration.lattice.n:
+            if len(cls.mults) != n:
                 raise ValueError(f"{lname} lives on the wrong lattice")
         self._set(configuration, components, L1, L2, l_provenance)
-        d1, d2, d3 = self._branch_classes
+        # D_1, D_2, D_3 row by row, and smoothness: products inside one D_i
+        # only (a.(k*b) is zero iff a.b is), one dict for a rigid curve in two
+        rows, branch_of, smooth = ([], [], []), {}, True
+        for (i, a), k in tally.items():
+            row = rows[i - 1]
+            if smooth and (any(map(a.dot, row)) or k > 1 and a.dot(a)
+                           or branch_of.setdefault((a.degree, a.mults), i) != i
+                           and a.dot(a) < 0):
+                smooth = False
+            row.append(a if k == 1 else k * a)
+        d1, d2, d3 = totals = tuple([
+            DivisorClass(sum([a.degree for a in row]),
+                         tuple(map(sum, zip((0,) * n, *[a.mults for a in row]))))
+            for row in rows])
+        # kept as a cached_property would keep them, apart from the fields
+        self.__dict__.update(_tally=tally, _branch_classes=totals)
         residues = [(relation, r) for relation, r in (
             ("2L1 - (D2+D3)", 2 * L1 - (d2 + d3)),
-            ("2L2 - (D1+D3)", 2 * L2 - (d1 + d3))) if r != self.lattice.zero]
+            ("2L2 - (D1+D3)", 2 * L2 - (d1 + d3))) if r.degree or any(r.mults)]
         if residues:
             raise RelationError(residues)
-        tally = list(self._tally.items())
-        for j, ((i, a), n) in enumerate(tally):
-            for (k, b), _ in tally[j + (n == 1):]:
+        if smooth:
+            return
+        tally = list(tally.items())  # name the first violating pair
+        for j, ((i, a), count) in enumerate(tally):
+            for (k, b), _ in tally[j + (count == 1):]:
                 if k == i and a.dot(b):
                     raise IncidenceError(
                         f"D{i} is not smooth: its components {a} and {b} "
@@ -148,22 +167,6 @@ class BidoubleData(Record):
     @property
     def lattice(self) -> BlowupLattice:
         return self.configuration.lattice
-
-    @cached_property
-    def _tally(self) -> dict[tuple[int, DivisorClass], int]:
-        """(branch, class) -> number of members, over all components."""
-        tally = {}
-        for c in self.components:
-            tally[c.branch, c.cls] = tally.get((c.branch, c.cls), 0) + c.count
-        return tally
-
-    @cached_property
-    def _branch_classes(self) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
-        """(D_1, D_2, D_3), summed once."""
-        totals = [self.lattice.zero] * 3
-        for (i, cls), n in self._tally.items():
-            totals[i - 1] += cls if n == 1 else n * cls
-        return tuple(totals)
 
     def branch_class(self, i: int) -> DivisorClass:
         return self._branch_classes[i - 1]
@@ -230,7 +233,15 @@ def _preimage(bd: BidoubleData, comp: BranchComponent) -> BranchPreimage:
 
 def contraction_count(bd: BidoubleData) -> int:
     """Total number of (-1)-curves contracted towards the minimal model."""
-    return sum(c.count * _preimage(bd, c).contracted for c in bd.components)
+    residuals, total = bd._residuals, 0
+    for c in bd.components:
+        if not c.cls.dot(residuals[c.branch - 1]):  # b = 0: G splits
+            sq = c.cls.dot(c.cls)
+            if sq == -2:
+                total += 2 * c.count
+            elif sq % 2:
+                _preimage(bd, c)  # raises: a split curve has even square
+    return total
 
 
 class InvariantReport(Record):
@@ -285,15 +296,13 @@ def resolve_111(bd: BidoubleData, cfg: PointConfiguration,
         raise IncidenceError(
             "the point must lie on one member each of D1, D2, D3, not on "
             + ", ".join(f"{c.name} ({c.count} of D{c.branch})" for c in named))
-    e_new = cfg.lattice.exceptional(cfg.lattice.n)
-    comps = []
-    for c in bd.components:
-        cls = c.cls.lift()
-        if c.name in through:
-            cls = cls - e_new
-        comps.append(BranchComponent(c.name, cls, c.branch, c.count))
-    return BidoubleData(cfg, tuple(comps),
-                        bd.L1.lift() - e_new, bd.L2.lift() - e_new,
+    def on_point(cls):  # the lift minus the new exceptional class
+        return DivisorClass(cls.degree, cls.mults + (1,))
+
+    comps = tuple([BranchComponent(c.name, on_point(c.cls) if c.name in through
+                                   else c.cls.lift(), c.branch, c.count)
+                   for c in bd.components])
+    return BidoubleData(cfg, comps, on_point(bd.L1), on_point(bd.L2),
                         l_provenance=bd.l_provenance)
 
 
@@ -330,10 +339,11 @@ def count_double_fibres(bd: BidoubleData, pencil: DivisorClass) -> int:
     is a conic bundle (F^2 = 0, K.F = -2, F nef), before any other work.
     """
     members = reducible_fibres(bd.configuration, pencil)
-    branched = {cls for _, cls in bd._tally}
-    count = sum(n for (_, cls), n in bd._tally.items() if cls == pencil)
+    branched = {(cls.degree, cls.mults) for _, cls in bd._tally}
+    count = sum([bd._tally.get((i, pencil), 0) for i in (1, 2, 3)])
     for member in members:
-        if all(a % 2 == 0 or e.cls in branched for e, a in member):
+        if all(a % 2 == 0 or (e.cls.degree, e.cls.mults) in branched
+               for e, a in member):
             count += 1
     return count
 
@@ -354,7 +364,7 @@ def analyse(bd: BidoubleData, pencil: DivisorClass | None = None,
     ls = (bd.L1, bd.L2, bd.L3)
     cfg = bd.configuration
     k = cfg.lattice.canonical
-    chi = 4 + sum((L.dot(L) + L.dot(k)) // 2 for L in ls)
+    chi = 4 + sum((L.dot(L) + sum(L.mults) - 3 * L.degree) // 2 for L in ls)
     pg = sum(h0_class(cfg, k + L) for L in ls)
     m = 2 * k + bd.branch_total
     k2_cover = m.dot(m)
@@ -385,7 +395,7 @@ def analyse(bd: BidoubleData, pencil: DivisorClass | None = None,
 
 def double_cover_chi(L: DivisorClass) -> int:
     """chi of a double cover with data 2L = branch, over a base with chi=1."""
-    s = L.dot(L) + L.dot(BlowupLattice(L.n).canonical)
+    s = L.dot(L) + sum(L.mults) - 3 * L.degree  # K.L = -3d + sum(m_i)
     assert s % 2 == 0
     return 2 + s // 2
 

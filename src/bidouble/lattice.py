@@ -101,8 +101,9 @@ class DivisorClass(Record):
     def _of(cls, degree: int, mults: tuple[int, ...]) -> "DivisorClass":
         """Build a class from entries that are already ints, unvalidated."""
         out = object.__new__(cls)
-        object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "mults", mults)
+        set_degree, set_mults = cls._setters
+        set_degree(out, degree)
+        set_mults(out, mults)
         return out
 
     # spelled out, not Record's: equality and hash are hot
@@ -128,12 +129,14 @@ class DivisorClass(Record):
                 f"rank mismatch: {self.rank} vs {other.rank}")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_rank(other)
+        if len(self.mults) != len(other.mults):
+            self._same_rank(other)
         return DivisorClass._of(self.degree + other.degree,
                                 tuple(map(add, self.mults, other.mults)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_rank(other)
+        if len(self.mults) != len(other.mults):
+            self._same_rank(other)
         return DivisorClass._of(self.degree - other.degree,
                                 tuple(map(sub, self.mults, other.mults)))
 
@@ -142,7 +145,7 @@ class DivisorClass(Record):
 
     def __mul__(self, k: int) -> "DivisorClass":
         k = index(k)
-        return DivisorClass._of(k * self.degree, tuple(k * m for m in self.mults))
+        return DivisorClass._of(k * self.degree, tuple([k * m for m in self.mults]))
 
     __rmul__ = __mul__
 
@@ -203,23 +206,23 @@ class BlowupLattice(Record):
 
     @property
     def zero(self) -> DivisorClass:
-        return DivisorClass(0, (0,) * self.n)
+        return DivisorClass._of(0, (0,) * self.n)
 
     @property
     def line(self) -> DivisorClass:
-        return DivisorClass(1, (0,) * self.n)
+        return DivisorClass._of(1, (0,) * self.n)
 
     def exceptional(self, i: int) -> DivisorClass:
         """The class e_i, 1-based."""
         if not 1 <= i <= self.n:
             raise ValueError(f"exceptional index {i} out of range 1..{self.n}")
-        return DivisorClass(0, tuple(-1 if j == i else 0
-                                     for j in range(1, self.n + 1)))
+        return DivisorClass._of(0, tuple(-1 if j == i else 0
+                                         for j in range(1, self.n + 1)))
 
     @property
     def canonical(self) -> DivisorClass:
         """K = -3l + e_1 + ... + e_n."""
-        return DivisorClass(-3, (-1,) * self.n)
+        return DivisorClass._of(-3, (-1,) * self.n)
 
     def from_vector(self, vec) -> DivisorClass:
         cls = DivisorClass.from_vector(vec)
@@ -235,14 +238,14 @@ def arithmetic_genus(d: DivisorClass) -> int:
     >>> arithmetic_genus(DivisorClass(0, (0,) * 6))
     1
     """
-    s = d.dot(d) + d.dot(BlowupLattice(d.n).canonical)
+    s = d.dot(d) + sum(d.mults) - 3 * d.degree  # K.D = -3d + sum(m_i)
     assert s % 2 == 0, "adjunction parity violated"
     return s // 2 + 1
 
 
 def riemann_roch_chi(d: DivisorClass) -> int:
     """chi(D) = chi(O) + D(D-K)/2 with chi(O) = 1 (rational surface)."""
-    s = d.dot(d) - d.dot(BlowupLattice(d.n).canonical)
+    s = d.dot(d) - sum(d.mults) + 3 * d.degree
     assert s % 2 == 0
     return 1 + s // 2
 

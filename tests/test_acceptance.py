@@ -10,9 +10,10 @@ from fractions import Fraction
 
 from bidouble.codes import (code_of_classes, de_code, is_doubly_even,
                             isotropy_bound_holds, weights)
-from bidouble.covers import (analyse, branch_preimage, count_double_fibres,
-                             etale_double, fibre_multiplicity,
-                             numeri_identities, resolve_111, slope_check)
+from bidouble.covers import (analyse, branch_preimage, contraction_count,
+                             count_double_fibres, etale_double,
+                             fibre_multiplicity, numeri_identities,
+                             resolve_111, slope_check)
 from bidouble.examples import example1, example2, example3
 from bidouble.lattice import (BlowupLattice, DivisorClass, arithmetic_genus,
                               castelnuovo_bound)
@@ -220,18 +221,32 @@ def test_criterion_9_p2_consistency():
                "examples and 20 seeded validating relabelings")
 
 
-def test_branch_degree_is_twice_a_product_with_l():
-    # b = G.(D_j + D_k) = 2 G.L_i for a component G of D_i, so b is even on
-    # every valid cover: the examples, their relabelings and the resolved
-    # example 1 through either member of |f1|
+def _valid_covers():
+    """The examples, their relabelings and the resolved example 1 through
+    either member of |f1| at three seeded general points."""
     covers = _relabelings()
     for seed in (0, 1, 37):
         cfg = standard_quadrilateral(with_general_point=True, seed=seed)
         for through in (("f2", "f3", "f1"), ("f2", "f3", "f1p")):
             covers.append(resolve_111(example1(), cfg, through))
     assert len(covers) == 29
-    for bd in covers:
+    return covers
+
+
+def test_branch_degree_is_twice_a_product_with_l():
+    # b = G.(D_j + D_k) = 2 G.L_i for a component G of D_i, so b is even on
+    # every valid cover
+    for bd in _valid_covers():
         ls = (bd.L1, bd.L2, bd.L3)
         for c in bd.components:
             b = branch_preimage(bd, c.name).branch_degree
             assert b == 2 * c.cls.dot(ls[c.branch - 1])
+
+
+def test_contraction_count_sums_the_split_preimages():
+    # the count reads two products per component; it must agree with the
+    # (-1)-curves of each component's preimage record on every valid cover
+    for bd in _valid_covers():
+        assert contraction_count(bd) == sum(
+            c.count * branch_preimage(bd, c.name).contracted
+            for c in bd.components)

@@ -10,6 +10,7 @@ strict UTF-8 stream, as a terminal or a pipe is.
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -181,13 +182,27 @@ def test_fuzz_arguments(argv):
 ESCAPED = st.text(st.characters() | st.sampled_from(
     '"\\/\b\f\n\r\t\x00\x1f\x7f\x85\u2028\ud800\udfff\U0001f600'),
     max_size=6)
+
+
+# subclasses of int and str miss the writer's exact-type path for leaves;
+# they must come out as the standard library writes them
+class Level(IntEnum):
+    LOW = -1
+    HIGH = 2**70
+
+
+class Name(str):
+    pass
+
+
+NAMES = ESCAPED | ESCAPED.map(Name)
 LEAVES = (st.none() | st.booleans() | st.integers()
           | st.integers(2**64, 2**200) | st.integers(-2**200, -2**64)
-          | st.floats() | ESCAPED)
+          | st.floats() | NAMES | st.sampled_from(Level))
 VALUES = st.recursive(
     LEAVES, lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(ESCAPED, inner, max_size=4), max_leaves=12)
+    | st.dictionaries(NAMES, inner, max_size=4), max_leaves=12)
 
 
 @settings(max_examples=200, **SETTINGS)
@@ -196,6 +211,9 @@ VALUES = st.recursive(
 @example({})
 @example([[], {}, ()])
 @example({"": {"\ud800": [2**64, -2**70, True, False, None]}})
+@example([1, True, -2, 0.5, False, float("nan"), 3, -0.0, float("-inf")])
+@example((Level.LOW, (True, 1.5e300), [Level.HIGH, (Name("a\n"), 0)]))
+@example({Name("k"): Name("v"), "n": [Level.LOW, 2, 2.0], "t": (None,)})
 def test_json_writer_matches_the_standard_library(value):
     assert _dumps(value) == json.dumps(value, indent=2)
 

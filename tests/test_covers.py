@@ -393,6 +393,42 @@ def test_rigid_curve_in_two_branch_divisors_is_refused():
     assert BidoubleData(two, lines, L1=line, L2=line).L3 == line
 
 
+def test_first_incidence_violation_is_reported_in_component_order():
+    # two violations: e1 in D1 and in D2 (rigid, so D is not reduced), and
+    # the conic Q and two members of |l| in D3, which meet.  The error names
+    # the first pair in the order of the components, whichever the smoothness
+    # check meets first.
+    two = PointConfiguration(((1, 0, 0), (0, 1, 0)), ())
+    e1, line = two.lattice.exceptional(1), two.lattice.line
+    conic = DivisorClass(2, (1, 0))
+    d1 = (BranchComponent("e1", e1, 1),)
+    d2 = (BranchComponent("e1'", e1, 2),)
+    d3 = (BranchComponent("Q", conic, 3), BranchComponent("l", line, 3, 2))
+    for comps, message in (
+            (d1 + d3 + d2, "the rigid curve e1 lies in both D1 and D2, so D is "
+                           "not reduced"),
+            (d3 + d1 + d2, "D3 is not smooth: its components 2l-e1 and l have "
+                           "intersection 2"),
+            (d2 + d1 + d3[::-1], "the rigid curve e1 lies in both D2 and D1, "
+                                 "so D is not reduced"),
+            (d3[::-1] + d1 + d2, "D3 is not smooth: its components l and l "
+                                 "have intersection 1")):
+        with pytest.raises(IncidenceError) as err:
+            BidoubleData(two, comps, L1=2 * line, L2=2 * line)
+        assert str(err.value) == message
+
+
+def test_f1_is_a_genus_3_pencil():
+    # the reports call |f1| "the genus-3 pencil": the fibre of pi*f1 on the
+    # cover has genus 1 + (2K + D).f1
+    general = standard_quadrilateral(with_general_point=True, seed=0)
+    for bd in (example1(), resolve_111(example1(), general, THROUGH),
+               example2(), example3()):
+        cfg = bd.configuration
+        m = 2 * cfg.lattice.canonical + bd.branch_total
+        assert 1 + m.dot(cfg.cls("f1")) == 3
+
+
 def test_bicanonical_example1():
     rep = analyse(example1())
     assert rep.h0_invariant == 7
@@ -447,6 +483,14 @@ def test_double_cover_chi():
     assert L.dot(L) + L.dot(lat.canonical) == -2
     assert double_cover_chi(L) == 1
     assert double_cover_chi(lat.zero) == 2
+    # K.L read off the entries agrees with the product with K, on every rank
+    rng = random.Random(5)
+    for n in range(10):
+        k = BlowupLattice(n).canonical
+        for _ in range(50):
+            L = DivisorClass(rng.randint(-9, 9),
+                             tuple(rng.randint(-9, 9) for _ in range(n)))
+            assert double_cover_chi(L) == 2 + L.dot(L + k) // 2
 
 
 def test_numeri_identities():

@@ -98,6 +98,9 @@ def test_adjunction_parity():
         d = random_class(rng, n)
         k = DivisorClass(-3, (-1,) * n)
         assert d.dot(d + k) % 2 == 0
+        # both read K.D off the entries, with no canonical class built
+        assert arithmetic_genus(d) == d.dot(d + k) // 2 + 1
+        assert riemann_roch_chi(d) == d.dot(d - k) // 2 + 1
 
 
 def test_pairing_symmetric_bilinear():
