@@ -7,8 +7,8 @@ rank -- with k = 10 classes in a rank-14 lattice this forces dim V >= 3.
 """
 
 from bidouble import (BlowupLattice, code_of_classes, de_code,
-                      is_doubly_even, isotropy_bound_holds, weights)
-from bidouble.scenarios import data_path, load_document
+                      is_doubly_even, isotropy_bound, weights)
+from bidouble.examples import data_path, load_document
 
 # the four sides of the quadrilateral: S1+S2+S3+S4 is divisible by 2
 doc = load_document(data_path("nodal_sides.json"))
@@ -31,7 +31,7 @@ doc = load_document(data_path("nodal10_rank14.json"))
 lat = BlowupLattice(doc["lattice_n"])
 classes = [lat.from_vector(v) for v in doc["classes"]]
 v10 = code_of_classes(classes, lat)
-lhs, rhs, holds = isotropy_bound_holds(classes, lat)
+lhs, rhs, holds = isotropy_bound(v10, lat.rank)
 print(f"ten nodal classes, rank {lat.rank}: dim V = {v10.dim}")
 print(f"isotropy bound 2(k - dim V) = {lhs} <= {rhs}: {holds}")
 print("weights:", dict(weights(v10)), " doubly even:", is_doubly_even(v10))

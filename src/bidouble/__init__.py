@@ -10,7 +10,7 @@ _EXPORTS = {  # home module -> the public names it gives the package
     "plane": """CurveEntry FatPointSystem PointConfiguration h0_class
         h0_fat_points reducible_fibres standard_quadrilateral""",
     "codes": """BinaryCode EnumerationCapError NodalInputError code_of_classes
-        de_code is_doubly_even isotropy_bound isotropy_bound_holds weights""",
+        de_code is_doubly_even isotropy_bound weights""",
     "covers": """BidoubleData BranchComponent BranchPreimage IncidenceError
         InvariantConsistencyError InvariantReport RelationError analyse
         branch_preimage contraction_count count_double_fibres double_cover_chi

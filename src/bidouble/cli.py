@@ -135,7 +135,8 @@ def _custom_text(report: dict) -> str:
 
 def _cmd_custom(args) -> int:
     from .covers import IncidenceError, InvariantConsistencyError, RelationError
-    from .scenarios import load_document, run_custom
+    from .examples import load_document
+    from .scenarios import run_custom
     try:
         doc = load_document(args.path)
     except (OSError, ValueError, RecursionError) as exc:

@@ -15,12 +15,7 @@ length s pushed through the coordinate-doubling injection
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
-from operator import index, mul, or_
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .lattice import BlowupLattice
+from operator import index, mul
 
 __all__ = [
     "NodalInputError",
@@ -31,7 +26,6 @@ __all__ = [
     "is_doubly_even",
     "de_code",
     "isotropy_bound",
-    "isotropy_bound_holds",
 ]
 
 ENUMERATION_CAP = 20  # 2^20 ~ 1e6 elements
@@ -76,16 +70,6 @@ def _rref2(rows) -> list[int]:
     return sorted(basis, key=lambda b: b & -b)
 
 
-def _span(rows):
-    """Every F_2 combination of the int ``rows``, in Gray-code order: one
-    XOR per word."""
-    word = 0
-    yield word
-    for i in range(1, 1 << len(rows)):
-        word ^= rows[(i & -i).bit_length() - 1]
-        yield word
-
-
 class BinaryCode:
     """A subspace of F_2^k, stored by a reduced row-echelon generator matrix.
 
@@ -105,20 +89,6 @@ class BinaryCode:
     def dim(self) -> int:
         return len(self.generators)
 
-    @property
-    def appearing(self) -> int:
-        """Number of coordinates appearing in some codeword: those where
-        some generator is nonzero, the code being closed under addition."""
-        return reduce(or_, self.generators, 0).bit_count()
-
-    def elements(self):
-        """Iterate over all 2^dim code words as 0/1 tuples (no cap check)."""
-        for word in _span(self.generators):
-            yield tuple(word >> j & 1 for j in range(self.length))
-
-    def contains(self, vec) -> bool:
-        return len(_rref2([*self.generators, _bits(vec, self.length)])) == self.dim
-
     def to_rows(self) -> list[list[int]]:
         return [[g >> j & 1 for j in range(self.length)] for g in self.generators]
 
@@ -130,7 +100,7 @@ class BinaryCode:
         return f"BinaryCode(length={self.length}, dim={self.dim})"
 
 
-def _check_nodal(classes, lat: BlowupLattice) -> None:
+def _check_nodal(classes, lat) -> None:
     for c in classes:
         if len(c.mults) != lat.n:
             raise NodalInputError("class does not live on the given lattice")
@@ -142,8 +112,8 @@ def _check_nodal(classes, lat: BlowupLattice) -> None:
                 raise NodalInputError(f"{a} and {b} are not disjoint")
 
 
-def code_of_classes(classes, lat: BlowupLattice) -> BinaryCode:
-    """Kernel of (x_1..x_k) -> sum x_i [C_i] in Pic/2Pic.
+def code_of_classes(classes, lat) -> BinaryCode:
+    """Kernel of (x_1..x_k) -> sum x_i [C_i] in Pic/2Pic of lattice ``lat``.
 
     Rejects inputs that are not pairwise-disjoint (-2)-classes.
     """
@@ -241,8 +211,8 @@ def is_doubly_even(code: BinaryCode) -> bool:
 def de_code(s: int) -> BinaryCode:
     """The doubly-even code DE(s) of length 2s and dimension s-1.
 
-    >>> sorted(sum(v) for v in de_code(2).elements())
-    [0, 4]
+    >>> dict(weights(de_code(2)))
+    {0: 1, 4: 1}
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -258,9 +228,3 @@ def isotropy_bound(code: BinaryCode, picard_rank: int):
     """
     lhs = 2 * (code.length - code.dim)
     return lhs, picard_rank, lhs <= picard_rank
-
-
-def isotropy_bound_holds(classes, lat: BlowupLattice):
-    """Isotropy bound for the code of the given nodal classes."""
-    code = code_of_classes(classes, lat)
-    return isotropy_bound(code, lat.rank)

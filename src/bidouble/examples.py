@@ -23,9 +23,9 @@ each construction is built once per process and shared.
 from __future__ import annotations
 
 import json
+import os
 from functools import cache
 from operator import index
-from pathlib import Path
 
 from .covers import BidoubleData, BranchComponent, IncidenceError
 from .lattice import DivisorClass
@@ -49,9 +49,9 @@ def halve(cls: DivisorClass) -> DivisorClass:
     return DivisorClass(cls.degree // 2, tuple(m // 2 for m in cls.mults))
 
 
-def data_path(name: str) -> Path:
+def data_path(name: str) -> str:
     """Path to a shipped data file."""
-    return Path(__file__).parent / "data" / name
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 def load_document(path) -> dict:
@@ -83,9 +83,10 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
     :func:`configuration_of` gives it for ``seed``.
 
     Schema: {lattice_n, components: [{name, class, branch: 0|1|2|3,
-    multiplicity}], L1, L2} with L1/L2 optional (then derived by exact
-    halving).  branch 0 entries are unbranched catalogue declarations and
-    are ignored for the cover itself.  multiplicity k becomes the
+    multiplicity}], L1, L2} with L1/L2 optional: a missing one is derived
+    by exact halving, a given one is checked by ``BidoubleData``.  branch 0
+    entries are unbranched catalogue declarations and are ignored for the
+    cover itself.  multiplicity k becomes the
     component's count.  Raises :class:`covers.IncidenceError` when a branch
     component's class has no sections, so is no curve on the configuration.
     """
@@ -105,14 +106,14 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
             raise IncidenceError(f"component {raw['name']!r} is no curve on "
                                  f"the configuration: h^0({cls}) = 0")
         comps.append(BranchComponent(raw["name"], cls, branch, mult))
-    if "L1" in doc and "L2" in doc:
-        l1, l2 = lat.from_vector(doc["L1"]), lat.from_vector(doc["L2"])
-        provenance = "given"
-    else:
+    l1 = lat.from_vector(doc["L1"]) if "L1" in doc else None
+    l2 = lat.from_vector(doc["L2"]) if "L2" in doc else None
+    provenance = "derived" if l1 is None or l2 is None else "given"
+    if provenance == "derived":
         d1, d2, d3 = (sum((c.count * c.cls for c in comps if c.branch == i), lat.zero)
                       for i in (1, 2, 3))
-        l1, l2 = halve(d2 + d3), halve(d1 + d3)
-        provenance = "derived"
+        l1 = halve(d2 + d3) if l1 is None else l1
+        l2 = halve(d1 + d3) if l2 is None else l2
     return BidoubleData(cfg, tuple(comps), l1, l2, l_provenance=provenance)
 
 

@@ -155,10 +155,6 @@ class DivisorClass(Record):
             self._same_rank(other)
         return self.degree * other.degree - sum(map(mul, self.mults, other.mults))
 
-    def mod2(self) -> tuple[int, ...]:
-        """Coefficient vector of the class in Pic/2Pic, length 1+n."""
-        return (self.degree % 2,) + tuple(m % 2 for m in self.mults)
-
     def lift(self) -> "DivisorClass":
         """Total-transform class on a lattice with one more point."""
         return DivisorClass._of(self.degree, self.mults + (0,))

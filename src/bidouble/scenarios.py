@@ -33,8 +33,6 @@ __all__ = [
     "ScenarioAbort",
     "run_scenario",
     "run_custom",
-    "load_document",
-    "data_path",
 ]
 
 # the search depth that made a catalogue search complete for degree-2

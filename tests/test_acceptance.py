@@ -9,16 +9,16 @@ import random
 from fractions import Fraction
 
 from bidouble.codes import (code_of_classes, de_code, is_doubly_even,
-                            isotropy_bound_holds, weights)
+                            isotropy_bound, weights)
 from bidouble.covers import (analyse, branch_preimage, contraction_count,
                              count_double_fibres, etale_double,
                              fibre_multiplicity, numeri_identities,
                              resolve_111, slope_check)
-from bidouble.examples import example1, example2, example3
+from bidouble.examples import (data_path, example1, example2, example3,
+                               load_document)
 from bidouble.lattice import (BlowupLattice, DivisorClass, arithmetic_genus,
                               castelnuovo_bound)
 from bidouble.plane import collinear, standard_quadrilateral
-from bidouble.scenarios import data_path, load_document
 from reference import interpolation_dimension
 
 CFG6 = standard_quadrilateral()
@@ -133,7 +133,7 @@ def test_criterion_7_codes():
     classes = [lat.from_vector(vec) for vec in doc["classes"]]
     assert lat.rank == 14 and len(classes) == 10
     v10 = code_of_classes(classes, lat)
-    lhs, rhs, holds = isotropy_bound_holds(classes, lat)
+    lhs, rhs, holds = isotropy_bound(v10, lat.rank)
     assert holds and lhs == 2 * (10 - v10.dim) <= rhs == 14
     assert v10.dim >= 3  # forced by the isotropy bound, attained here
     assert is_doubly_even(v10)

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -113,7 +114,7 @@ def test_examples_read_each_shipped_document_once(monkeypatch):
         assert example1().configuration is CFG6
         assert example2().configuration is CFG7
         assert example3().configuration is CFG7
-    assert sorted(p.name for p in reads) == \
+    assert sorted(map(os.path.basename, reads)) == \
         ["example1.json", "example2.json", "example3.json"]
 
 
@@ -506,7 +507,7 @@ def test_numeri_concrete_realization():
     # lattice classes on the rank-14 lattice (where K^2 = -4) and reread
     # every identity off the pairing instead of the closed formulas
     from bidouble.lattice import arithmetic_genus
-    from bidouble.scenarios import data_path, load_document
+    from bidouble.examples import data_path, load_document
 
     doc = load_document(data_path("nodal10_rank14.json"))
     lat = BlowupLattice(doc["lattice_n"])

@@ -12,10 +12,10 @@ import pytest
 import bidouble
 from bidouble.cli import _build_parser, main
 from bidouble.covers import RelationError
+from bidouble.examples import data_path, load_document
 from bidouble.lattice import DivisorClass
 from bidouble.plane import standard_quadrilateral
-from bidouble.scenarios import (SCENARIO_NAMES, data_path, load_document,
-                                run_custom, run_scenario)
+from bidouble.scenarios import SCENARIO_NAMES, run_custom, run_scenario
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -109,6 +109,31 @@ def test_run_custom_relation_failure():
     doc["L1"][5] += 1
     with pytest.raises(RelationError):
         run_custom(doc)
+
+
+def test_cli_custom_checks_a_single_given_l_class(tmp_path, capsys):
+    # a given L1 without L2 used to be dropped for the derived one, so this
+    # wrong L1 was printed as derived and exited 0
+    doc = load_document(data_path("example2.json"))
+    del doc["L2"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, L1=[99, 0, 0, 0, 0, 0, 0, 0])))
+    assert main(["custom", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: building data violates cover relations (2L1 - (D2+D3): "
+        "residue 188l+2e1+4e2+2e3+6e4+4e5+4e6+2e7)\n")
+    # the true L1 alone reports as the fully derived document does
+    outputs = []
+    for name, given in (("true.json", {"L1": doc["L1"]}), ("none.json", {})):
+        path = tmp_path / name
+        path.write_text(json.dumps(
+            dict({k: v for k, v in doc.items() if k != "L1"}, **given)))
+        for fmt in ("json", "text"):
+            assert main(["custom", str(path), "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    assert '"l_provenance": "derived"' in outputs[0]
 
 
 def test_cli_custom_reads_the_pencil_before_building_the_cover(tmp_path,
