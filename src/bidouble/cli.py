@@ -1,110 +1,141 @@
-"""Command-line front end.
-
-Subcommands:
-
-* ``verify <scenario>|all`` -- run pinned verification scenarios;
-* ``custom <file>``         -- run the pipeline on a cover document;
-* ``h0 --degree d --mults "m1,m2,..."`` -- dimension of a fat-point system;
-* ``code --fixture <file>`` -- code of a nodal-class fixture.
-
-Exit codes: 0 all checks pass, 1 a check or validation failed, 2 bad input.
-
-Each command imports its modules when it runs: ``verify`` and ``custom``
-load ``scenarios`` (which loads the rest, ``codes`` only for the ``codes``
-scenario), ``h0`` loads ``plane`` and ``lattice``, and ``code`` loads
-``codes`` and ``lattice``.  The parser is built once per process and
-reused by every call of :func:`main`.
-"""
+"""Command-line front end: ``_parse`` reads the commands of ``_USAGE`` by the
+table ``_COMMANDS``.  Each imports its modules when it runs: ``verify`` and
+``custom`` load ``scenarios``, ``h0`` ``plane`` and ``code`` ``codes``.
+Exit codes: 0 all checks pass, 1 a check or validation failed, 2 bad input."""
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _quote
 from operator import index
 
 # scenarios.SCENARIO_NAMES, spelled out so that the parser needs no import
 SCENARIO_NAMES = ("example1", "example1-degenerate", "example2", "example3",
                   "lemma-numeri", "codes", "bounds")
+_FORMAT = ("json", "text")
+# command -> {option: (kind, default)}: a kind is int, str, bool (a flag) or
+# a tuple of choices; a None default is required; no dashes: the positional
+_COMMANDS = {"verify": {"scenario": ((*SCENARIO_NAMES, "all"), None),
+                        "--format": (_FORMAT, "text"), "--seed": (int, 0)},
+             "custom": {"path": (str, None), "--format": (_FORMAT, "json"),
+                        "--seed": (int, 0)},
+             "h0": {"--degree": (int, None), "--mults": (str, None),
+                    "--general-point": (bool, False), "--seed": (int, 0),
+                    "--with-p7": (bool, False), "--format": (_FORMAT, "text")},
+             "code": {"--fixture": (str, None), "--format": (_FORMAT, "text")}}
+_HELP = {"--h", "--he", "--hel", "--help"}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # argparse's pattern
+_LITERALS = {True: "true", False: "false", None: "null"}
+_USAGE = """usage: bidouble verify SCENARIO [--format {json,text}] [--seed N]
+       bidouble custom PATH [--format {json,text}] [--seed N]
+       bidouble h0 --degree D --mults M1,M2,... [--with-p7] [--general-point]
+                   [--seed N] [--format {json,text}]
+       bidouble code --fixture PATH [--format {json,text}]
+SCENARIO: all """ + " ".join(SCENARIO_NAMES)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one line, not the usage; exits 2
-        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+def _option(word: str, options) -> tuple[str, str | None] | None:
+    """The option that ``word`` or a unique prefix of it names, and the
+    value glued on by ``=``; None for a positional word: one without a
+    leading dash, "-", a negative number or a word with a space."""
+    if word[:1] != "-" or word == "-":
+        return None
+    head, eq, value = word.partition("=")
+    found = [name for name in options if name.startswith(head)]
+    if len(found) == 1:
+        return found[0], value if eq else None
+    if found or not (_NEGATIVE(word) or " " in word):
+        raise ValueError(f"unknown or ambiguous option {word!r}")
+    return None
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bidouble",
-        description="exact verification scenarios for bidouble-cover "
-                    "constructions over the plane quadrilateral")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run a pinned verification scenario")
-    p.add_argument("scenario", choices=(*SCENARIO_NAMES, "all"))
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("custom", help="run the pipeline on a cover document")
-    p.add_argument("path")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("h0", help="dimension of a fat-point linear system")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--mults", required=True,
-                   help="comma-separated multiplicities at P1, P2, ...")
-    p.add_argument("--with-p7", action="store_true")
-    p.add_argument("--general-point", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("code", help="binary code of a nodal-class fixture")
-    p.add_argument("--fixture", required=True)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    return parser
+def _parse(argv: list[str]) -> tuple[str, dict] | None:
+    """The command and its keyword arguments (README "Command line" gives
+    the grammar); None for help, asked for by "-h..." or a prefix of
+    "--help" before the first "--".  Any other bad line raises ValueError."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    if any(w[:2] == "-h" or w.partition("=")[0] in _HELP for w in argv[:cut]):
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError(f"the command is one of {', '.join(_COMMANDS)}")
+    options = _COMMANDS[argv[0]]
+    positional = next((name for name in options if name[0] != "-"), None)
+    values = {name: default for name, (_, default) in options.items()}
+    at = i = 0  # where the positional stands; the word read
+    while (i := i + 1) < len(argv):
+        if i == cut:  # just after the positional, or before it and a word
+            if positional and (at == i - 1 or not at and i + 1 < len(argv)):
+                continue
+            raise ValueError(f"misplaced '--' in the {argv[0]} command")
+        found = None if i > cut else _option(argv[i], options)
+        if found is None:
+            if not positional or at:
+                raise ValueError(f"unexpected argument {argv[i]!r}")
+            found, at = (positional, argv[i]), i
+        name, value = found
+        kind = options[name][0]
+        if kind is bool and value is not None:
+            raise ValueError(f"{name} takes no value")
+        if kind is not bool and value is None:
+            if (i := i + 1) >= cut or _option(argv[i], options):
+                raise ValueError(f"{name} expects a value")
+            value = argv[i]
+        try:
+            values[name] = True if kind is bool else \
+                int(value) if kind is int else value
+        except ValueError:
+            raise ValueError(f"{name} {value!r} is not an integer") from None
+        if type(kind) is tuple and value not in kind:
+            raise ValueError(f"{name} {value!r} is not one of {kind}")
+    missing = [name for name, value in values.items() if value is None]
+    if missing:
+        raise ValueError(f"{argv[0]} needs {', '.join(missing)}")
+    return argv[0], {name.lstrip("-").replace("-", "_"): value
+                     for name, value in values.items()}
 
 
 def _dumps(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for dicts with str
-    keys, in about half the time of the pure-Python encoder that ``indent``
-    selects.  Items of exact type str, int, bool or None are written in the
-    loop; other leaves (a float, an IntEnum) go to ``json``."""
+    keys, in 0.43 of its time on the ``verify all --seed 5 --format json``
+    report (median of 41 interleaved batches; two-core x86 VM, Python 3.11.7).
+    Leaves of exact type int, str, bool or None are written inline."""
+    inner = indent + "  "
+    parts = []  # loops, not comprehensions: one frame per level of nesting
     if isinstance(value, dict):
-        items, ends = value.items(), "{}"
+        for k, v in value.items():
+            t = type(v)
+            parts.append(f"{_quote(k)}: " + (
+                repr(v) if t is int else _quote(v) if t is str else
+                _LITERALS[v] if t is bool or v is None else _dumps(v, inner)))
+        ends = "{}"
     elif isinstance(value, (list, tuple)):
-        items, ends = zip(value, value), "[]"  # the key is not written
+        for v in value:
+            t = type(v)
+            parts.append(repr(v) if t is int else _quote(v) if t is str else
+                         _LITERALS[v] if t is bool or v is None else
+                         _dumps(v, inner))
+        ends = "[]"
     else:
         return json.dumps(value)
-    inner = indent + "  "
-    parts = []  # a loop, not a comprehension: one frame per level of nesting
-    for k, v in items:
-        t = type(v)
-        if t is str:
-            v = encode_basestring_ascii(v)
-        elif t is int:
-            v = repr(v)
-        elif t is bool or v is None:
-            v = "null" if v is None else "true" if v else "false"
-        else:
-            v = _dumps(v, inner)
-        parts.append(v if ends == "[]" else encode_basestring_ascii(k) + ": " + v)
     return (ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
             if parts else ends)
 
 
-def _cmd_verify(args) -> int:
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _cmd_verify(scenario, format, seed) -> int:
     from .scenarios import ScenarioAbort, run_scenario
-    names = list(SCENARIO_NAMES) if args.scenario == "all" else [args.scenario]
+    names = list(SCENARIO_NAMES) if scenario == "all" else [scenario]
     try:
-        reports = [run_scenario(n, args.seed) for n in names]
+        reports = [run_scenario(n, seed) for n in names]
     except ScenarioAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
+        return _error(exc, 1)
+    if format == "json":
         payload = reports[0].to_dict() if len(reports) == 1 else \
             [r.to_dict() for r in reports]
         print(_dumps(payload))
@@ -119,8 +150,7 @@ def _emit(text: str) -> int:
     try:
         print(text)
     except UnicodeEncodeError as exc:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot write the report: {exc}", 2)
     return 0
 
 
@@ -133,85 +163,70 @@ def _custom_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_custom(args) -> int:
+def _cmd_custom(path, format, seed) -> int:
     from .covers import IncidenceError, InvariantConsistencyError, RelationError
     from .examples import load_document
     from .scenarios import run_custom
     try:
-        doc = load_document(args.path)
+        doc = load_document(path)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: a NUL byte in the path, or the text is not UTF-8 JSON
-        print(f"error: cannot read cover document: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot read cover document: {exc}", 2)
     try:
-        report = run_custom(doc, seed=args.seed)
+        report = run_custom(doc, seed=seed)
     except (RelationError, InvariantConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     except IncidenceError as exc:  # well-formed, but no valid cover
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed cover document: {exc}", file=sys.stderr)
-        return 2
-    return _emit(_dumps(report) if args.format == "json"
-                 else _custom_text(report))
+        return _error(f"malformed cover document: {exc}", 2)
+    return _emit(_dumps(report) if format == "json" else _custom_text(report))
 
 
-def _cmd_h0(args) -> int:
+def _cmd_h0(degree, mults, with_p7, general_point, seed, format) -> int:
     from .plane import FatPointSystem, h0_fat_points, standard_quadrilateral
     try:
-        mults = [int(tok) for tok in args.mults.split(",")] \
-            if args.mults.strip() else []
+        mults = [int(m) for m in mults.split(",")] if mults.strip() else []
         if any(m < 0 for m in mults):
             raise ValueError
     except ValueError:
-        print("error: --mults must be comma-separated non-negative integers",
-              file=sys.stderr)
-        return 2
+        return _error("--mults must be comma-separated non-negative integers",
+                      2)
     try:
-        cfg = standard_quadrilateral(with_p7=args.with_p7,
-                                     with_general_point=args.general_point,
-                                     seed=args.seed)
+        cfg = standard_quadrilateral(
+            with_p7=with_p7, with_general_point=general_point, seed=seed)
         if len(mults) > len(cfg.points):
             raise ValueError(
                 f"{len(mults)} multiplicities but only {len(cfg.points)} points")
         system = FatPointSystem(
-            args.degree,
-            tuple((i, m) for i, m in enumerate(mults) if m > 0))
+            degree, tuple((i, m) for i, m in enumerate(mults) if m > 0))
         value = h0_fat_points(cfg, system)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps({"degree": args.degree, "mults": mults, "h0": value}))
-    else:
-        print(f"h0(degree {args.degree}, mults {mults}) = {value}")
-    return 0
+        return _error(exc, 2)
+    return _emit(json.dumps({"degree": degree, "mults": mults, "h0": value})
+                 if format == "json" else
+                 f"h0(degree {degree}, mults {mults}) = {value}")
 
 
-def _cmd_code(args) -> int:
+def _cmd_code(fixture, format) -> int:
     from .codes import (EnumerationCapError, code_of_classes, is_doubly_even,
                         isotropy_bound, weights)
     from .lattice import BlowupLattice
     try:
-        with open(args.fixture, encoding="utf-8") as fh:
+        with open(fixture, encoding="utf-8") as fh:
             doc = json.load(fh)
         lat = BlowupLattice(index(doc["lattice_n"]))
         classes = [lat.from_vector(v) for v in doc["classes"]]
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        print(f"error: bad fixture: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"bad fixture: {exc}", 2)
     try:
         code = code_of_classes(classes, lat)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     try:
         dist = weights(code)
     except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     lhs, rhs, holds = isotropy_bound(code, lat.rank)
     report = {
         "fixture": doc.get("name", "unnamed"),
@@ -222,7 +237,7 @@ def _cmd_code(args) -> int:
         "doubly_even": is_doubly_even(code),
         "isotropy": {"lhs": lhs, "rhs": rhs, "holds": holds},
     }
-    if args.format == "json":
+    if format == "json":
         return _emit(_dumps(report))
     return _emit(
         f"code of {report['fixture']}: k={report['k']}, dim={report['dim']}\n"
@@ -233,16 +248,13 @@ def _cmd_code(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # a bad command line (2), or -h/--help (0)
-        return exc.code
-    handler = {
-        "verify": _cmd_verify,
-        "custom": _cmd_custom,
-        "h0": _cmd_h0,
-        "code": _cmd_code,
-    }[args.command]
-    return handler(args)
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+    except ValueError as exc:  # a bad command line
+        return _error(exc, 2)
+    if parsed is None:
+        return _emit(_USAGE)
+    command, values = parsed
+    return globals()[f"_cmd_{command}"](**values)  # _cmd_verify, ...
 
 
 if __name__ == "__main__":

@@ -120,11 +120,12 @@ class BidoubleData(Record):
         n = configuration.lattice.n
         if len({c.name for c in components}) != len(components):
             raise ValueError("branch components must be pairwise distinct")
-        tally = {}  # (branch, class) -> number of members
+        tally, classes = {}, {}  # (branch, degree, mults) -> members, class
         for c in components:
             if len(c.cls.mults) != n:
                 raise ValueError(f"component {c.name} lives on the wrong lattice")
-            tally[c.branch, c.cls] = tally.get((c.branch, c.cls), 0) + c.count
+            key = c.branch, c.cls.degree, c.cls.mults
+            tally[key], classes[key] = tally.get(key, 0) + c.count, c.cls
         for lname, cls in (("L1", L1), ("L2", L2)):
             if len(cls.mults) != n:
                 raise ValueError(f"{lname} lives on the wrong lattice")
@@ -132,7 +133,8 @@ class BidoubleData(Record):
         # D_1, D_2, D_3 row by row, and smoothness: products inside one D_i
         # only (a.(k*b) is zero iff a.b is), one dict for a rigid curve in two
         rows, branch_of, smooth = ([], [], []), {}, True
-        for (i, a), k in tally.items():
+        items = [(key[0], classes[key], k) for key, k in tally.items()]
+        for i, a, k in items:
             row = rows[i - 1]
             if smooth and (any(map(a.dot, row)) or k > 1 and a.dot(a)
                            or branch_of.setdefault((a.degree, a.mults), i) != i
@@ -152,9 +154,8 @@ class BidoubleData(Record):
             raise RelationError(residues)
         if smooth:
             return
-        tally = list(tally.items())  # name the first violating pair
-        for j, ((i, a), count) in enumerate(tally):
-            for (k, b), _ in tally[j + (count == 1):]:
+        for j, (i, a, count) in enumerate(items):  # the first bad pair
+            for k, b, _ in items[j + (count == 1):]:
                 if k == i and a.dot(b):
                     raise IncidenceError(
                         f"D{i} is not smooth: its components {a} and {b} "
@@ -318,7 +319,8 @@ def fibre_multiplicity(bd: BidoubleData, member, pencil: DivisorClass) -> int:
     total = bd.lattice.zero
     for cls, mult, branch in member:
         total = total + mult * cls
-        if branch is not None and (branch, cls) not in bd._tally:
+        if branch is not None and \
+                (branch, cls.degree, cls.mults) not in bd._tally:
             raise ValueError(f"no component of D{branch} has class {cls}")
     if total != pencil:
         raise ValueError(
@@ -339,8 +341,9 @@ def count_double_fibres(bd: BidoubleData, pencil: DivisorClass) -> int:
     is a conic bundle (F^2 = 0, K.F = -2, F nef), before any other work.
     """
     members = reducible_fibres(bd.configuration, pencil)
-    branched = {(cls.degree, cls.mults) for _, cls in bd._tally}
-    count = sum([bd._tally.get((i, pencil), 0) for i in (1, 2, 3)])
+    branched = {key[1:] for key in bd._tally}
+    count = sum([bd._tally.get((i, pencil.degree, pencil.mults), 0)
+                 for i in (1, 2, 3)])
     for member in members:
         if all(a % 2 == 0 or (e.cls.degree, e.cls.mults) in branched
                for e, a in member):

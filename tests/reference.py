@@ -1,13 +1,17 @@
 """Independent routes to the package's numbers, which the tests compare it
 with: ``interpolation_dimension`` (exact rank of the integer interpolation
-matrix at arbitrary rational points) against ``plane.h0_class``, and the
+matrix at arbitrary rational points) against ``plane.h0_class``, the
 catalogue search ``effective_decompositions`` against
-``plane.reducible_fibres``."""
+``plane.reducible_fibres``, and the argparse parser ``_build_parser``
+that the command line used to have against ``cli._parse``."""
 
 from __future__ import annotations
 
+import argparse
+import functools
 from math import gcd, lcm
 
+from bidouble.cli import SCENARIO_NAMES
 from bidouble.lattice import DivisorClass
 from bidouble.plane import Point, PointConfiguration
 
@@ -187,3 +191,41 @@ def sum_of_decomposition(cfg: PointConfiguration, decomposition) -> DivisorClass
     for name, coeff in decomposition:
         total = total + coeff * cfg.cls(name)
     return total
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, not the usage; exits 2
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="bidouble",
+        description="exact verification scenarios for bidouble-cover "
+                    "constructions over the plane quadrilateral")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", help="run a pinned verification scenario")
+    p.add_argument("scenario", choices=(*SCENARIO_NAMES, "all"))
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("custom", help="run the pipeline on a cover document")
+    p.add_argument("path")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("h0", help="dimension of a fat-point linear system")
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--mults", required=True,
+                   help="comma-separated multiplicities at P1, P2, ...")
+    p.add_argument("--with-p7", action="store_true")
+    p.add_argument("--general-point", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+    p = sub.add_parser("code", help="binary code of a nodal-class fixture")
+    p.add_argument("--fixture", required=True)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    return parser

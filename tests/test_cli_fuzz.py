@@ -9,14 +9,16 @@ strict UTF-8 stream, as a terminal or a pipe is.
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from bidouble.cli import _dumps, main
+from bidouble.cli import _dumps, _parse, main
 from bidouble.examples import data_path, load_document
+from reference import _build_parser
 
 SETTINGS = dict(database=None, deadline=None)
 
@@ -175,6 +177,105 @@ ARGUMENT = WORDS | st.integers(-3, 20).map(str) | TEXT
 @given(argv=st.lists(ARGUMENT, max_size=8))
 def test_fuzz_arguments(argv):
     run(argv)
+
+
+# what the differential test adds to the known words: unique and ambiguous
+# prefixes, negative numbers (a trailing line break still makes one, for
+# argparse), and options with a value glued on by "="
+PREFIXES = st.sampled_from(("--form", "--fo", "--s", "--se", "--deg", "--m",
+                            "--with", "--gen", "--fix", "--f", "--he", "--h",
+                            "--hel", "-hh", "-hx"))
+NUMBERS = st.integers(-20, 20).map(str) | st.sampled_from(
+    ("-1.5", "-.5", "-5.", "-3=4", "-5\n", "+2", " 7 ", "1_0"))
+OPTIONS = PREFIXES | st.sampled_from(("--format", "--seed", "--degree",
+                                      "--mults", "--with-p7", "--general-point",
+                                      "--fixture", "--help"))
+GLUED = st.tuples(OPTIONS | st.just("--"), WORDS | NUMBERS | TEXT).map("=".join)
+COMMAND_LINE_WORD = WORDS | PREFIXES | NUMBERS | GLUED | TEXT
+# each command's positional, required and other options; values may be wrong
+SHAPES = {"verify": (st.sampled_from(("all", "example2")) | WORDS, (),
+                     ("--format", "--seed")),
+          "custom": (WORDS | NUMBERS | TEXT, (), ("--format", "--seed")),
+          "h0": (None, ("--degree", "--mults"),
+                 ("--with-p7", "--general-point", "--seed", "--format")),
+          "code": (None, ("--fixture",), ("--format",))}
+OPTION_VALUES = {
+    "--format": st.sampled_from(("json", "text", "jso")), "--seed": NUMBERS,
+    "--degree": NUMBERS, "--fixture": WORDS | TEXT,
+    "--mults": st.sampled_from(("1,2", "", "-1,2", "-1", "a b")),
+    "--with-p7": st.none(), "--general-point": st.none()}
+
+
+@st.composite
+def _well_formed(draw):
+    """A command with its own words in any order: options spelled out or
+    by a prefix, values after a space or an "=", and a "--" anywhere."""
+    command = draw(st.sampled_from(sorted(SHAPES)))
+    positional, required, names = SHAPES[command]
+    items = [] if positional is None else [[draw(positional)]]
+    for name in [*required, *draw(st.lists(st.sampled_from(names + required),
+                                          max_size=4))]:
+        spelled = name[:draw(st.integers(3, len(name)))]
+        value = draw(OPTION_VALUES[name])
+        items.append([spelled] if value is None else draw(st.sampled_from(
+            ([f"{spelled}={value}"], [spelled, value]))))
+    words = [word for item in draw(st.permutations(items)) for word in item]
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), "--")
+    return [command, *words[:len(words) - draw(st.sampled_from((0, 0, 1)))]]
+
+
+COMMAND_LINES = _well_formed() | st.lists(COMMAND_LINE_WORD, max_size=8) \
+    | st.builds(lambda command, rest: [command, *rest],
+                st.sampled_from(sorted(SHAPES)),
+                st.lists(COMMAND_LINE_WORD, max_size=7))
+
+
+def _argparse_reading(argv):
+    """What the argparse parser the command line used to have read from
+    ``argv``, or None when it printed help or an error."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="the reference is argparse as Python 3.10 and 3.11 ship it; "
+           "later bug-fix releases changed its reading of '--'")
+@settings(max_examples=1000, **SETTINGS)
+@given(argv=COMMAND_LINES)
+@example(["verify", "--seed=-3", "all", "--form", "json", "--seed", "5"])
+@example(["custom", "--", "-h"])
+@example(["custom", "x", "--"])
+@example(["custom", "--seed", "1", "x", "--format", "json", "--"])
+@example(["h0", "--mults", "-1,2", "--degree", "1"])
+@example(["h0", "--mults=--", "--degree", "1"])
+@example(["h0", "--degree", "-5\n", "--mults", "1", "--with-p7", "--w"])
+@example(["code", "--fixture", "--", "x"])
+@example(["code", "--f", "x"])
+@example(["verify", "-hh", "all"])
+def test_parser_reads_what_argparse_read(argv):
+    want = _argparse_reading(argv)
+    event("argparse read it" if want is not None else "argparse exited")
+    if want is not None and [] not in want.values():
+        command, values = _parse(list(argv))
+        assert {"command": command, **values} == want
+        return
+    # argparse printed help or an error, or it read a value glued on as
+    # "=--" as an empty list (on which h0 raised AttributeError); the
+    # parser prints the usage or one error line, and reads "=--" as "--"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert out.getvalue().startswith("usage: bidouble") and not err.getvalue()
+    else:
+        assert code == 2 and not out.getvalue(), argv
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 # keys and strings a JSON writer must escape: quotes, backslashes, control

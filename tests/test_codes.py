@@ -401,6 +401,18 @@ def test_cli_loads_only_the_modules_of_its_command(statement, modules):
     assert not loaded & {"pathlib", "typing"}
 
 
+@pytest.mark.parametrize("statement", (
+    "import bidouble.cli",
+    "from bidouble.cli import main; assert main(['verify', 'all']) == 0"),
+    ids=("import", "verify"))
+def test_cli_loads_no_argument_parser(statement):
+    # the command line is read by a table, not by argparse, whose help
+    # formatter would also load gettext, locale and shutil
+    loaded = _modules_loaded_by(statement)
+    assert "bidouble.cli" in loaded
+    assert not loaded & {"argparse", "gettext", "locale", "shutil"}
+
+
 def test_cli_verify_loads_no_dataclasses():
     loaded = _modules_loaded_by(
         "from bidouble.cli import main; assert main(['verify', 'all']) == 0")
