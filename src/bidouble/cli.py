@@ -1,6 +1,6 @@
 """Command-line front end: ``_parse`` reads the commands of ``_USAGE`` by the
-table ``_COMMANDS``.  Each imports its modules when it runs: ``verify`` and
-``custom`` load ``scenarios``, ``h0`` ``plane`` and ``code`` ``codes``.
+table ``_COMMANDS``.  Each imports its modules when it runs: ``verify`` loads
+``scenarios``, ``custom`` ``examples``, ``h0`` ``plane`` and ``code`` ``codes``.
 Exit codes: 0 all checks pass, 1 a check or validation failed, 2 bad input."""
 
 from __future__ import annotations
@@ -165,8 +165,7 @@ def _custom_text(report: dict) -> str:
 
 def _cmd_custom(path, format, seed) -> int:
     from .covers import IncidenceError, InvariantConsistencyError, RelationError
-    from .examples import load_document
-    from .scenarios import run_custom
+    from .examples import load_document, run_custom
     try:
         doc = load_document(path)
     except (OSError, ValueError, RecursionError) as exc:

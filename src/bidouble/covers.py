@@ -104,19 +104,19 @@ class BranchComponent(Record):
 
 class BidoubleData(Record):
     """Branch components plus the classes L_1, L_2 of a bidouble cover of
-    the blowup at the points of ``configuration``.
+    the blowup at the points of ``configuration``; whether L_1, L_2 were
+    given or derived by halving is the caller's to know, not a field.
 
     Raises :class:`RelationError` with the residue of each violated cover
     relation, then :class:`IncidenceError` when two components of one D_i
     meet (a class listed twice unless C^2 = 0) or a class of negative
     square lies in two D_i, so that D is not reduced."""
 
-    __slots__ = ("configuration", "components", "L1", "L2", "l_provenance",
-                 "__dict__")
+    __slots__ = ("configuration", "components", "L1", "L2", "__dict__")
 
     def __init__(self, configuration: PointConfiguration,
                  components: tuple[BranchComponent, ...], L1: DivisorClass,
-                 L2: DivisorClass, l_provenance: str = "given"):  # or "derived"
+                 L2: DivisorClass):
         n = configuration.lattice.n
         if len({c.name for c in components}) != len(components):
             raise ValueError("branch components must be pairwise distinct")
@@ -129,7 +129,7 @@ class BidoubleData(Record):
         for lname, cls in (("L1", L1), ("L2", L2)):
             if len(cls.mults) != n:
                 raise ValueError(f"{lname} lives on the wrong lattice")
-        self._set(configuration, components, L1, L2, l_provenance)
+        self._set(configuration, components, L1, L2)
         # D_1, D_2, D_3 row by row, and smoothness: products inside one D_i
         # only (a.(k*b) is zero iff a.b is), one dict for a rigid curve in two
         rows, branch_of, smooth = ([], [], []), {}, True
@@ -303,8 +303,7 @@ def resolve_111(bd: BidoubleData, cfg: PointConfiguration,
     comps = tuple([BranchComponent(c.name, on_point(c.cls) if c.name in through
                                    else c.cls.lift(), c.branch, c.count)
                    for c in bd.components])
-    return BidoubleData(cfg, comps, on_point(bd.L1), on_point(bd.L2),
-                        l_provenance=bd.l_provenance)
+    return BidoubleData(cfg, comps, on_point(bd.L1), on_point(bd.L2))
 
 
 def fibre_multiplicity(bd: BidoubleData, member, pencil: DivisorClass) -> int:
@@ -367,7 +366,7 @@ def analyse(bd: BidoubleData, pencil: DivisorClass | None = None,
     ls = (bd.L1, bd.L2, bd.L3)
     cfg = bd.configuration
     k = cfg.lattice.canonical
-    chi = 4 + sum((L.dot(L) + sum(L.mults) - 3 * L.degree) // 2 for L in ls)
+    chi = sum(map(double_cover_chi, ls)) - 2
     pg = sum(h0_class(cfg, k + L) for L in ls)
     m = 2 * k + bd.branch_total
     k2_cover = m.dot(m)

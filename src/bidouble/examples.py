@@ -1,10 +1,11 @@
-"""The three bidouble-cover constructions over the quadrilateral, and the
-reader of the cover documents they are built from.
+"""The three bidouble-cover constructions over the quadrilateral, the
+reader of the cover documents they are built from, and their report.
 
 The building data of each construction is read from its shipped document
 ``data/example{1,2,3}.json``, the same file that ``bidouble custom`` runs,
 by :func:`cover_from_document` on the configuration the document names;
-each construction is built once per process and shared.
+each construction is built once per process and shared.  ``bidouble custom``
+prints :func:`run_custom`: what ``covers.analyse`` gives a document, unpinned.
 
 * ``example1`` lives on the 6-point blowup: the branch uses a diagonal, one
   general member of each conic pencil (two of |f1|) and the four sides;
@@ -27,12 +28,18 @@ import os
 from functools import cache
 from operator import index
 
-from .covers import BidoubleData, BranchComponent, IncidenceError
+from .covers import BidoubleData, BranchComponent, IncidenceError, analyse
 from .lattice import DivisorClass
 from .plane import PointConfiguration, h0_class, standard_quadrilateral
 
 __all__ = ["example1", "example2", "example3", "halve", "data_path",
-           "load_document", "configuration_of", "cover_from_document"]
+           "load_document", "configuration_of", "cover_from_document",
+           "run_custom"]
+
+# the search depth that made a catalogue search complete for degree-2
+# pencils; the fibre count needs no search, but every report keeps the
+# field so that report bytes stay the same
+DECOMPOSITION_DEPTH = 2
 
 # the ``configuration`` of a cover document -> its standard_quadrilateral
 _CONFIGURATIONS = {
@@ -86,9 +93,9 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
     multiplicity}], L1, L2} with L1/L2 optional: a missing one is derived
     by exact halving, a given one is checked by ``BidoubleData``.  branch 0
     entries are unbranched catalogue declarations and are ignored for the
-    cover itself.  multiplicity k becomes the
-    component's count.  Raises :class:`covers.IncidenceError` when a branch
-    component's class has no sections, so is no curve on the configuration.
+    cover itself.  multiplicity k becomes the component's count.  Raises
+    :class:`covers.IncidenceError` when a branch component's class is 0 or
+    has no sections, so is no curve on the configuration.
     """
     cfg = configuration_of(doc, seed)
     lat = cfg.lattice
@@ -102,19 +109,50 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
         if mult < 1:
             raise ValueError(
                 f"component {raw['name']!r}: multiplicity must be >= 1")
-        if not h0_class(cfg, cls):
+        why = "its class is 0" if not any(cls.to_vector()) else \
+            None if h0_class(cfg, cls) else f"h^0({cls}) = 0"
+        if why:
             raise IncidenceError(f"component {raw['name']!r} is no curve on "
-                                 f"the configuration: h^0({cls}) = 0")
+                                 f"the configuration: {why}")
         comps.append(BranchComponent(raw["name"], cls, branch, mult))
     l1 = lat.from_vector(doc["L1"]) if "L1" in doc else None
     l2 = lat.from_vector(doc["L2"]) if "L2" in doc else None
-    provenance = "derived" if l1 is None or l2 is None else "given"
-    if provenance == "derived":
+    if l1 is None or l2 is None:
         d1, d2, d3 = (sum((c.count * c.cls for c in comps if c.branch == i), lat.zero)
                       for i in (1, 2, 3))
         l1 = halve(d2 + d3) if l1 is None else l1
         l2 = halve(d1 + d3) if l2 is None else l2
-    return BidoubleData(cfg, tuple(comps), l1, l2, l_provenance=provenance)
+    return BidoubleData(cfg, tuple(comps), l1, l2)
+
+
+def run_custom(doc: dict, seed: int = 0) -> dict:
+    """Full pipeline on a cover document; computed invariants, no pins.
+
+    Raises ValueError/KeyError on malformed documents, the pencil first,
+    and RelationError when the data does not validate.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("a cover document must be a JSON object")
+    lat = configuration_of(doc, seed).lattice
+    pencil = lat.from_vector(doc["pencil"]) if "pencil" in doc else None
+    bd = cover_from_document(doc, seed)
+    rep = analyse(bd, pencil)
+    return {
+        "scenario": "custom",
+        "seed": seed,
+        "source": doc.get("name", "unnamed"),
+        "valid": True,
+        "L1": bd.L1.to_vector(),
+        "L2": bd.L2.to_vector(),
+        "L3": bd.L3.to_vector(),
+        "l_provenance": "given" if "L1" in doc and "L2" in doc else "derived",
+        "invariants": rep.to_dict(),
+        "bicanonical": {"h0_invariant": rep.h0_invariant,
+                        "h0_characters": list(rep.h0_characters),
+                        "total": rep.P2, "degree": rep.bicanonical_degree,
+                        "involution_index": rep.involution_index},
+        "decomposition_depth": DECOMPOSITION_DEPTH,
+    }
 
 
 @cache

@@ -106,15 +106,6 @@ class DivisorClass(Record):
         set_mults(out, mults)
         return out
 
-    # spelled out, not Record's: equality and hash are hot
-    def __eq__(self, other):
-        if other.__class__ is not DivisorClass:
-            return NotImplemented
-        return self.degree == other.degree and self.mults == other.mults
-
-    def __hash__(self):
-        return hash((self.degree, self.mults))
-
     @property
     def n(self) -> int:
         return len(self.mults)

@@ -8,12 +8,11 @@ an ``anchor``: a one-line statement of the claim being verified, so a
 failing report points directly at the contradicted claim.
 
 The example scenarios build their data with ``examples``, which reads it
-from the shipped cover documents ``data/example{1,2,3}.json``.
-``run_custom`` runs the same reader and the same ``covers.analyse`` on a
-user-supplied cover document without pinned expectations and reports the
-computed invariants only.
+from the shipped cover documents ``data/example{1,2,3}.json``; the report
+of a user's own document, ``examples.run_custom``, has no pins and lives
+there.
 
-The CLI imports this module for ``verify`` and ``custom`` only.
+The CLI imports this module for ``verify`` only.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 from functools import cache
 
 from . import covers, examples
-from .examples import (configuration_of, cover_from_document, data_path,
-                       load_document)
+from .examples import DECOMPOSITION_DEPTH, data_path, load_document
 from .lattice import (BlowupLattice, DivisorClass, arithmetic_genus,
                       castelnuovo_bound, riemann_roch_chi)
 from .plane import h0_class, standard_quadrilateral
@@ -32,13 +30,7 @@ __all__ = [
     "ScenarioReport",
     "ScenarioAbort",
     "run_scenario",
-    "run_custom",
 ]
-
-# the search depth that made a catalogue search complete for degree-2
-# pencils; the fibre count needs no search, but every report keeps the
-# field so that report bytes stay the same
-DECOMPOSITION_DEPTH = 2
 
 
 def _jsonify(value):
@@ -359,36 +351,3 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
             f"scenario {name!r} aborted after check {last!r}: {exc}") from exc
     return rep
 
-
-# ---------------------------------------------------------------------------
-# custom cover documents
-
-
-def run_custom(doc: dict, seed: int = 0) -> dict:
-    """Full pipeline on a cover document; computed invariants, no pins.
-
-    Raises ValueError/KeyError on malformed documents, the pencil first,
-    and RelationError when the data does not validate.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("a cover document must be a JSON object")
-    lat = configuration_of(doc, seed).lattice
-    pencil = lat.from_vector(doc["pencil"]) if "pencil" in doc else None
-    bd = cover_from_document(doc, seed)
-    rep = covers.analyse(bd, pencil)
-    return {
-        "scenario": "custom",
-        "seed": seed,
-        "source": doc.get("name", "unnamed"),
-        "valid": True,
-        "L1": bd.L1.to_vector(),
-        "L2": bd.L2.to_vector(),
-        "L3": bd.L3.to_vector(),
-        "l_provenance": bd.l_provenance,
-        "invariants": rep.to_dict(),
-        "bicanonical": {"h0_invariant": rep.h0_invariant,
-                        "h0_characters": list(rep.h0_characters),
-                        "total": rep.P2, "degree": rep.bicanonical_degree,
-                        "involution_index": rep.involution_index},
-        "decomposition_depth": DECOMPOSITION_DEPTH,
-    }

@@ -391,7 +391,7 @@ def _modules_loaded_by(statement: str) -> set[str]:
      "'--mults', '1,2,1,2,2,2,1', '--with-p7']) == 0", {"cli", "lattice", "plane"}),
     ("from bidouble.cli import main; assert main(['custom', "
      f"{str(data_path('example2.json'))!r}]) == 0",
-     {"cli", "scenarios", "covers", "examples", "plane", "lattice"}),
+     {"cli", "examples", "covers", "plane", "lattice"}),
 ), ids=("import", "code", "h0", "custom"))
 def test_cli_loads_only_the_modules_of_its_command(statement, modules):
     loaded = _modules_loaded_by(statement)

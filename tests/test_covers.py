@@ -84,10 +84,24 @@ def test_validate_corruption_sweep():
 
 def test_example3_derived_classes():
     bd = example3()
-    assert bd.l_provenance == "derived"
     assert bd.L1.to_vector() == [4, 1, 1, 1, 2, 2, 2, 0]
     assert bd.L2 == example2().L2
     assert 2 * bd.L3 == bd.branch_class(1) + bd.branch_class(2)
+
+
+def test_each_decision_has_one_home(monkeypatch):
+    # a cover keeps its data only: whether L1 and L2 were given is the
+    # custom report's to say.  Class equality and hash are Record's, and
+    # analyse takes chi from double_cover_chi
+    from bidouble import covers
+
+    assert BidoubleData._names == ("configuration", "components", "L1", "L2")
+    assert not {"__eq__", "__hash__"} & set(vars(DivisorClass))
+    seen = []
+    monkeypatch.setattr(covers, "double_cover_chi",
+                        lambda L: seen.append(L) or double_cover_chi(L))
+    bd = example3()
+    assert analyse(bd).chi == 1 and seen == [bd.L1, bd.L2, bd.L3]
 
 
 def test_halve():

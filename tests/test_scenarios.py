@@ -12,10 +12,11 @@ import pytest
 import bidouble
 from bidouble.cli import main
 from bidouble.covers import RelationError
-from bidouble.examples import data_path, load_document
+from bidouble.examples import (cover_from_document, data_path, load_document,
+                               run_custom)
 from bidouble.lattice import DivisorClass
 from bidouble.plane import standard_quadrilateral
-from bidouble.scenarios import SCENARIO_NAMES, run_custom, run_scenario
+from bidouble.scenarios import SCENARIO_NAMES, run_scenario
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -123,17 +124,23 @@ def test_cli_custom_checks_a_single_given_l_class(tmp_path, capsys):
     assert out == "" and err == (
         "error: building data violates cover relations (2L1 - (D2+D3): "
         "residue 188l+2e1+4e2+2e3+6e4+4e5+4e6+2e7)\n")
-    # the true L1 alone reports as the fully derived document does
+    # the true L1 alone, or the true L2 alone, reports as the fully derived
+    # document does; both given report as "given"
+    full = load_document(data_path("example2.json"))
     outputs = []
-    for name, given in (("true.json", {"L1": doc["L1"]}), ("none.json", {})):
+    for name, given in (("true.json", {"L1": doc["L1"]}),
+                        ("l2.json", {"L2": full["L2"]}), ("none.json", {}),
+                        ("both.json", {"L1": full["L1"], "L2": full["L2"]})):
         path = tmp_path / name
         path.write_text(json.dumps(
             dict({k: v for k, v in doc.items() if k != "L1"}, **given)))
         for fmt in ("json", "text"):
             assert main(["custom", str(path), "--format", fmt]) == 0
             outputs.append(capsys.readouterr().out)
-    assert outputs[:2] == outputs[2:]
+    assert outputs[:2] == outputs[2:4] == outputs[4:6]
     assert '"l_provenance": "derived"' in outputs[0]
+    assert outputs[6:] == [o.replace("derived", "given") for o in outputs[:2]]
+    assert '"l_provenance": "given"' in outputs[6]
 
 
 def test_cli_custom_reads_the_pencil_before_building_the_cover(tmp_path,
@@ -377,14 +384,23 @@ def test_cli_custom_refuses_pencils_that_are_not_conic_bundles(tmp_path, capsys)
 
 def test_cli_custom_refuses_a_component_that_is_no_curve(tmp_path, capsys):
     # on the general point Delta2bar = l-e2-e4-e7 has no sections; the run
-    # used to reach analyse and exit 1 with a false P2 mismatch
-    path = tmp_path / "general.json"
-    path.write_text(json.dumps(_edited("example2.json", ("configuration",),
-                                       "quadrilateral-general-point")))
-    assert main(["custom", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1, err
-    assert "'Delta2bar' is no curve" in err
+    # used to reach analyse and exit 1 with a false P2 mismatch.  The zero
+    # class has h^0 = 1, so it used to pass as a curve and exit 0, its
+    # "preimage" two disjoint pieces of square 0
+    zero = load_document(data_path("example2.json"))
+    zero["components"].append({"name": "z", "class": [0] * 8, "branch": 1})
+    for doc, message in (
+            (_edited("example2.json", ("configuration",),
+                     "quadrilateral-general-point"),
+             "'Delta2bar' is no curve on the configuration: "
+             "h^0(l-e2-e4-e7) = 0"),
+            (zero, "'z' is no curve on the configuration: its class is 0")):
+        path = tmp_path / "faulty.json"
+        path.write_text(json.dumps(doc))
+        assert main(["custom", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert message in err
 
 
 def test_cli_custom_consistency_failure_exits_1(monkeypatch, capsys):
@@ -437,8 +453,6 @@ def test_analysis_computes_each_class_once(monkeypatch, capsys):
 
 
 def test_document_cover_uses_the_shared_configuration():
-    from bidouble.examples import cover_from_document
-
     general = {"configuration": "quadrilateral-general-point", "lattice_n": 7,
                "components": [], "L1": [0] * 8, "L2": [0] * 8}
     for doc, seed, cfg in (
@@ -456,7 +470,6 @@ def test_contractions_need_no_name_lookup(monkeypatch):
     # with many components costs no search by name
     from bidouble import covers
     from bidouble.examples import example2
-    from bidouble.scenarios import cover_from_document
 
     doc = load_document(data_path("example2.json"))
     # 2000 more members of f1 in D3 move D2 + D3 and D1 + D3 by 2000 f1,
