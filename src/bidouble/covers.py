@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .lattice import BlowupLattice, DivisorClass, Record
+from .lattice import BlowupLattice, DivisorClass, Record, riemann_roch_chi
 from .plane import PointConfiguration, h0_class, reducible_fibres
 
 __all__ = [
@@ -396,10 +396,9 @@ def analyse(bd: BidoubleData, pencil: DivisorClass | None = None,
 
 
 def double_cover_chi(L: DivisorClass) -> int:
-    """chi of a double cover with data 2L = branch, over a base with chi=1."""
-    s = L.dot(L) + sum(L.mults) - 3 * L.degree  # K.L = -3d + sum(m_i)
-    assert s % 2 == 0
-    return 2 + s // 2
+    """chi of a double cover with data 2L = branch, over a base with chi=1:
+    chi(O) + chi(-L)."""
+    return 1 + riemann_roch_chi(-L)
 
 
 def numeri_identities(k2y: int) -> tuple[int, int]:

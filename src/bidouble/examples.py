@@ -94,11 +94,13 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
     by exact halving, a given one is checked by ``BidoubleData``.  branch 0
     entries are unbranched catalogue declarations and are ignored for the
     cover itself.  multiplicity k becomes the component's count.  Raises
-    :class:`covers.IncidenceError` when a branch component's class is 0 or
-    has no sections, so is no curve on the configuration.
+    :class:`covers.IncidenceError` when a branch component's class is that
+    of no irreducible curve on the configuration.
     """
     cfg = configuration_of(doc, seed)
     lat = cfg.lattice
+    curves = {(e.cls.degree, e.cls.mults) for e in cfg.negative_entries}
+    curves.update(cfg.conic_bundles)
     comps = []
     for raw in doc["components"]:
         branch = index(raw["branch"])
@@ -109,8 +111,13 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
         if mult < 1:
             raise ValueError(
                 f"component {raw['name']!r}: multiplicity must be >= 1")
-        why = "its class is 0" if not any(cls.to_vector()) else \
-            None if h0_class(cfg, cls) else f"h^0({cls}) = 0"
+        # a curve on at most seven points is negative, a conic bundle F, or
+        # big and nef, so base-point free (Harbourne); k*F with k > 1 is none
+        curve = (cls.degree, cls.mults) in curves or cls.dot(cls) > 0 and all(
+            cls.dot(e.cls) >= 0 for e in cfg.negative_entries)
+        why = "its class is 0" if not any(cls.to_vector()) else None if curve \
+            else f"h^0({cls}) = 0" if not h0_class(cfg, cls) else \
+            f"{cls} is the class of no irreducible curve"
         if why:
             raise IncidenceError(f"component {raw['name']!r} is no curve on "
                                  f"the configuration: {why}")

@@ -219,22 +219,21 @@ class BlowupLattice(Record):
         return cls
 
 
+def riemann_roch_chi(d: DivisorClass) -> int:
+    """chi(D) = chi(O) + D(D-K)/2 with chi(O) = 1 (rational surface): the one
+    Riemann-Roch of the package, whose other forms are chi(-D)."""
+    s = d.dot(d) - sum(d.mults) + 3 * d.degree  # -K.D = 3d - sum(m_i)
+    assert s % 2 == 0, "Riemann-Roch parity violated"
+    return 1 + s // 2
+
+
 def arithmetic_genus(d: DivisorClass) -> int:
-    """p_a(D) = D(D+K)/2 + 1 via the adjunction formula.
+    """p_a(D) = 1 + D(D+K)/2 by adjunction, which is chi(-D).
 
     >>> arithmetic_genus(DivisorClass(0, (0,) * 6))
     1
     """
-    s = d.dot(d) + sum(d.mults) - 3 * d.degree  # K.D = -3d + sum(m_i)
-    assert s % 2 == 0, "adjunction parity violated"
-    return s // 2 + 1
-
-
-def riemann_roch_chi(d: DivisorClass) -> int:
-    """chi(D) = chi(O) + D(D-K)/2 with chi(O) = 1 (rational surface)."""
-    s = d.dot(d) - sum(d.mults) + 3 * d.degree
-    assert s % 2 == 0
-    return 1 + s // 2
+    return riemann_roch_chi(-d)
 
 
 def castelnuovo_bound(d: int, r: int) -> int:

@@ -21,7 +21,8 @@ or 2) and every answer is lattice arithmetic on its negative curves:
   derived once per configuration on first use; incidence (three points on
   a line, six on a conic) is decided by integer 3x3 determinants;
 * ``PointConfiguration.conic_bundles`` -- every conic bundle (F^2 = 0,
-  K.F = -2, F nef), also derived once per configuration;
+  K.F = -2, F nef), also derived once per configuration; both tables come
+  from one shape table, ``_SHAPES``, and one nef test, ``_meets_all``;
 * ``h0_class`` -- h^0 of a divisor class: negative curves meeting the class
   negatively are split off as fixed parts, many copies at a time, and the
   nef residue has h^0 = chi by Riemann-Roch and Kawamata-Viehweg;
@@ -45,7 +46,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
-from .lattice import BlowupLattice, DivisorClass, Record
+from .lattice import BlowupLattice, DivisorClass, Record, riemann_roch_chi
 
 __all__ = [
     "CurveEntry",
@@ -114,6 +115,27 @@ _PENCIL_BASE = {
     "f2": (1, 3, 5, 6),
     "f3": (1, 2, 3, 4),
 }
+
+
+# (degree, double points, simple points) of the candidate classes, by square:
+# the (-2)-curves, the (-1)-curves but the e_i, and the conic bundles
+_SHAPES = {-2: ((1, 0, 3), (2, 0, 6)), -1: ((1, 0, 2), (2, 0, 5), (3, 1, 6)),
+           0: ((1, 0, 1), (2, 0, 4), (3, 1, 5), (4, 3, 4), (5, 6, 1))}
+
+
+def _candidates(n: int, shapes):
+    """(degree, mults) of each class of ``shapes`` on n points: the double
+    points, then the simple ones, in ``itertools.combinations`` order."""
+    for degree, doubles, singles in shapes:
+        for two in itertools.combinations(range(n), doubles):
+            rest = [i for i in range(n) if i not in two]
+            for one in itertools.combinations(rest, singles):
+                yield degree, tuple(2 if i in two else int(i in one) for i in range(n))
+
+
+def _meets_all(degree: int, mults: tuple[int, ...], curves) -> bool:
+    """Whether (degree; mults) meets each (degree, mults, ...) of ``curves`` >= 0."""
+    return all(degree * c[0] >= sum(map(mul, mults, c[1])) for c in curves)
 
 
 class PointConfiguration(Record):
@@ -190,60 +212,35 @@ class PointConfiguration(Record):
         * the (-2)-curves are the line through each collinear triple and the
           conic through any six points, no three collinear, that lie on one;
           e_i - e_j is never effective, the points being distinct;
-        * the (-1)-curves are the (-1)-classes e_i, l-e_i-e_j, 2l-(five e)
-          and, for n = 7, 3l-2e_i-(the other six e) that meet every
-          (-2)-curve non-negatively.
+        * the (-1)-curves are the e_i and the classes of the ``_SHAPES`` of
+          square -1 that meet every (-2)-curve non-negatively.
 
         Catalogued curves keep their entries; the others are named by their
         class.  Derived on first use and cached on the instance.
         """
-        n = self.lattice.n
+        n, triples = self.lattice.n, self.collinear_triples
+
+        def rigid(degree, mults):  # a line through three points, a conic through six
+            on = frozenset(i for i, m in enumerate(mults, 1) if m)
+            return on in triples if degree == 1 else not any(t <= on for t in triples) \
+                and _on_a_conic(*(p for p, m in zip(self.points, mults) if m))
+
+        minus_two = [c for c in _candidates(n, _SHAPES[-2]) if rigid(*c)]
+        minus_one = [(0, tuple(-(i == j) for j in range(n))) for i in range(n)]
+        minus_one += [c for c in _candidates(n, _SHAPES[-1]) if _meets_all(*c, minus_two)]
         by_class = {e.cls: e for e in self.entries if e.kind != "pencil"}
-
-        def plane_class(degree, points, double=None):
-            return DivisorClass(degree, tuple(
-                2 if i == double else int(i in points) for i in range(1, n + 1)))
-
-        def on_a_conic(six):
-            return not any(t <= six for t in self.collinear_triples) and \
-                _on_a_conic(*(self.point(i) for i in sorted(six)))
-
-        everything = range(1, n + 1)
-        minus_two = [plane_class(1, t)
-                     for t in sorted(self.collinear_triples, key=sorted)]
-        minus_two += [plane_class(2, six)
-                      for six in map(frozenset, itertools.combinations(everything, 6))
-                      if on_a_conic(six)]
-        minus_one = [self.lattice.exceptional(i) for i in everything]
-        minus_one += [plane_class(1, pair)
-                      for pair in itertools.combinations(everything, 2)]
-        minus_one += [plane_class(2, five)
-                      for five in itertools.combinations(everything, 5)]
-        if n == 7:
-            minus_one += [plane_class(3, everything, double=i) for i in everything]
-        minus_one = [c for c in minus_one if all(c.dot(r) >= 0 for r in minus_two)]
-
         kinds = {0: "exceptional", 1: "line", 2: "conic", 3: "cubic"}
         return tuple(by_class.get(c) or CurveEntry(str(c), c, kinds[c.degree])
-                     for c in minus_two + minus_one)
+                     for c in itertools.starmap(DivisorClass._of, minus_two + minus_one))
 
     @cached_property
     def conic_bundles(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(degree, mults) of every conic bundle: the nef classes F with
-        F^2 = 0 and -K.F = 2.  On at most seven points each has (degree,
-        double points, simple points) one of those listed below; it is nef
-        when it meets every negative curve non-negatively.  Cached."""
-        n, out = self.lattice.n, []
-        for f_deg, doubles, singles in ((1, 0, 1), (2, 0, 4), (3, 1, 5),
-                                        (4, 3, 4), (5, 6, 1)):
-            for two in itertools.combinations(range(n), doubles):
-                rest = [i for i in range(n) if i not in two]
-                for one in itertools.combinations(rest, singles):
-                    f = tuple(2 if i in two else int(i in one) for i in range(n))
-                    if all(f_deg * c_deg >= sum(map(mul, f, c_mults))
-                           for c_deg, c_mults, _ in self._negative_curves):
-                        out.append((f_deg, f))
-        return tuple(out)
+        F^2 = 0 and -K.F = 2.  On at most seven points each has one of the
+        ``_SHAPES`` of square 0, and is nef when it meets every negative
+        curve non-negatively.  Cached."""
+        return tuple(f for f in _candidates(self.lattice.n, _SHAPES[0])
+                     if _meets_all(*f, self._negative_curves))
 
     # the answers of h0_class and reducible_fibres, by (degree, mults)
     _h0_memo = cached_property(lambda self: {})
@@ -378,9 +375,8 @@ def _fixed_part(cfg: PointConfiguration, deg: int, mults: tuple[int, ...]):
     off, {index into ``negative_entries``: count}."""
     curves, split = cfg._negative_curves, {}
     for step in itertools.count(1):
-        if deg < 0 or 3 * deg < sum(mults) or step % _SCREEN == 0 and any(
-                deg * f_deg < sum(map(mul, mults, f_mults))
-                for f_deg, f_mults in cfg.conic_bundles):
+        if deg < 0 or 3 * deg < sum(mults) or step % _SCREEN == 0 and \
+                not _meets_all(deg, mults, cfg.conic_bundles):
             return None
         for i, (c_deg, c_mults, c_neg) in enumerate(curves):
             meet = deg * c_deg - sum(map(mul, mults, c_mults))
@@ -402,7 +398,7 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
     enough for the residue to meet C non-negatively.  A class of negative
     degree, or meeting -K negatively, has no sections, l and -K being nef.
     The residue that meets every negative curve non-negatively is nef, so
-    h^0 = chi = 1 + (D^2 - K.D)/2 by Kawamata-Viehweg, -K being nef and big.
+    h^0 = chi (``riemann_roch_chi``) by Kawamata-Viehweg, -K nef and big.
 
     A class with no sections can meet a conic bundle F negatively while
     meeting l and -K non-negatively; the splitting then walks down the
@@ -417,11 +413,7 @@ def h0_class(cfg: PointConfiguration, d: DivisorClass) -> int:
     if h0 is not None:
         return h0
     walk = _fixed_part(cfg, *key)
-    h0 = 0
-    if walk is not None:
-        (deg, mults), _ = walk
-        h0 = 1 + (deg * deg - sum(m * m for m in mults)
-                  + 3 * deg - sum(mults)) // 2
+    h0 = 0 if walk is None else riemann_roch_chi(DivisorClass._of(*walk[0]))
     cfg._h0_memo[key] = h0
     return h0
 

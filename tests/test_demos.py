@@ -1,6 +1,7 @@
 """The demos run in process and print what they always printed."""
 
 import contextlib
+import hashlib
 import io
 import runpy
 from pathlib import Path
@@ -23,9 +24,21 @@ def test_five_demos():
         "03_nodal_codes.py", "04_cover_invariants.py", "05_degeneration.py"]
 
 
+# the SHA-256 of each demo's standard output
+_GOLDEN = {
+    "01_lattice_walkthrough": "3b9c2b7bf1ae7a1e247640d524e2c11ddfde0d1744a6f84d44955378f39b1b7c",
+    "02_interpolation": "ff32da03d03d9d8f1910138c3791fa4ab6046291072b6228b4116967e0ea9a14",
+    "03_nodal_codes": "7b32f80d1afcb7099340a7a85651dddc6e30fd8910e8a430299bd841ddea2a6d",
+    "04_cover_invariants": "bed394bfc375ad69ada8f3d1a372bc1f3e8bcdea55d095a884a171c73da40784",
+    "05_degeneration": "430553efb0e29f775e838651763c1256e952ec10a96e76dc48d471fa52f98cf4",
+}
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path):
-    assert _run(path).strip()
+    out = _run(path)
+    assert out.strip()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _GOLDEN[path.stem]
 
 
 def test_degeneration_demo_prints_the_affine_point():

@@ -261,6 +261,42 @@ def test_negative_curve_counts():
         assert cfg.negative_entries is entries
 
 
+# the curve tables in order, as names and as SHA-256 digests of
+# repr([(name, class vector), ...]) and of repr(conic_bundles): the walk
+# splits curves in table order, and reducible_fibres orders members by it
+_SIDES = ["S1", "S4", "S2", "S3"]
+_TABLES = {
+    "six": (_SIDES + [f"e{i}" for i in range(1, 7)] + ["Delta1", "Delta2", "Delta3"],
+            "001efaea0358286c4665be6030553948babf76464b89e88f41e16771aafc26eb",
+            "37f9617b2e18b9bc0eba2708579877d65623aea1198f438ac8d734cd242b47c1"),
+    "P7": (["S1", "S4", "S2", "Delta2bar", "S3", "Delta3bar"]
+           + [f"e{i}" for i in range(1, 8)] + ["Delta1", "l-e1-e7", "l-e3-e7"],
+           "fc024f1da58e39f5b69e65ddfd40f99807a33b8e24d9d13fcebe0f5921965e6d",
+           "1a19cb517161968870bafcbafdd4bf2f01d5eb3fbe718026e78b6274891342e4"),
+    "general": (_SIDES + [f"e{i}" for i in range(1, 8)]
+                + ["Delta1", "l-e1-e7", "Delta2", "l-e2-e7", "l-e3-e7", "l-e4-e7",
+                   "Delta3", "l-e5-e7", "l-e6-e7", "f3_strict", "f2_strict",
+                   "f1_strict", "3l-e1-e2-e3-e4-e5-e6-2e7"],
+                "455fe89c79d16ac3d6e4790bc38b546f7f79fdf72262d983fe13884652c2c0c8",
+                "0401f7a75014bf61f083117d1a5a670c47bf57de50d62aa09ba9b86cf820136b"),
+}
+
+
+@pytest.mark.parametrize("name, cfg", (
+    ("six", standard_quadrilateral()),
+    ("P7", standard_quadrilateral(with_p7=True)),
+    ("general", standard_quadrilateral(with_general_point=True, seed=0)),
+    ("general", standard_quadrilateral(with_general_point=True, seed=37))),
+    ids=("six", "P7", "general-0", "general-37"))
+def test_curve_tables_keep_their_order(name, cfg):
+    names, negative_digest, bundle_digest = _TABLES[name]
+    negative = [(e.name, e.cls.to_vector()) for e in cfg.negative_entries]
+    assert [e.name for e in cfg.negative_entries] == names
+    assert hashlib.sha256(repr(negative).encode()).hexdigest() == negative_digest
+    assert hashlib.sha256(repr(cfg.conic_bundles).encode()).hexdigest() == \
+        bundle_digest
+
+
 def test_almost_general_position_enforced():
     four_on_a_line = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1))
     points = tuple(tuple(map(Fraction, p)) for p in four_on_a_line)

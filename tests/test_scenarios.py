@@ -386,15 +386,31 @@ def test_cli_custom_refuses_a_component_that_is_no_curve(tmp_path, capsys):
     # on the general point Delta2bar = l-e2-e4-e7 has no sections; the run
     # used to reach analyse and exit 1 with a false P2 mismatch.  The zero
     # class has h^0 = 1, so it used to pass as a curve and exit 0, its
-    # "preimage" two disjoint pieces of square 0
+    # "preimage" two disjoint pieces of square 0.  2e4 has a section, e4
+    # twice, and 2 f1 one in each member of |2 f1|: both passed as curves.
+    # With 2e4 in D1 and the L-classes derived the run exited 0 with chi 2
+    # and pg 1; 2 f1 for f1 + f1' in D3 exited 0 with 3 double fibres, not 5
     zero = load_document(data_path("example2.json"))
     zero["components"].append({"name": "z", "class": [0] * 8, "branch": 1})
+    two_e = load_document(data_path("example1.json"))
+    del two_e["L1"], two_e["L2"]
+    two_e["components"].append(
+        {"name": "twoE", "class": [0, 0, 0, 0, -2, 0, 0], "branch": 1})
+    two_f = load_document(data_path("example1.json"))
+    two_f["components"] = [c for c in two_f["components"]
+                           if c["name"] not in ("f1", "f1p")]
+    two_f["components"].append(
+        {"name": "twoF", "class": [4, 0, 2, 0, 2, 2, 2], "branch": 3})
     for doc, message in (
             (_edited("example2.json", ("configuration",),
                      "quadrilateral-general-point"),
              "'Delta2bar' is no curve on the configuration: "
              "h^0(l-e2-e4-e7) = 0"),
-            (zero, "'z' is no curve on the configuration: its class is 0")):
+            (zero, "'z' is no curve on the configuration: its class is 0"),
+            (two_e, "'twoE' is no curve on the configuration: 2e4 is the "
+                    "class of no irreducible curve"),
+            (two_f, "'twoF' is no curve on the configuration: "
+                    "4l-2e2-2e4-2e5-2e6 is the class of no irreducible curve")):
         path = tmp_path / "faulty.json"
         path.write_text(json.dumps(doc))
         assert main(["custom", str(path)]) == 2
@@ -569,6 +585,13 @@ def test_cli_h0(capsys):
     assert "= 0" in capsys.readouterr().out
     assert main(["h0", "--degree", "2", "--mults", "x"]) == 2
     assert main(["h0", "--degree", "2", "--mults", "1,1,1,1,1,1,1,1"]) == 2
+    capsys.readouterr()
+    # the degree is checked after the number of multiplicities
+    for degree, mults, message in (
+            ("-1", "1", "degree must be >= 0"),
+            ("-1", "1,1,1,1,1,1,1", "7 multiplicities but only 6 points")):
+        assert main(["h0", "--degree", degree, "--mults", mults]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, want", [
