@@ -183,8 +183,7 @@ def _cmd_custom(path, format, seed) -> int:
 
 
 def _cmd_h0(degree, mults, with_p7, general_point, seed, format) -> int:
-    from .lattice import DivisorClass
-    from .plane import h0_class, standard_quadrilateral
+    from .plane import FatPointSystem, h0_fat_points, standard_quadrilateral
     try:
         mults = [int(m) for m in mults.split(",")] if mults.strip() else []
         if any(m < 0 for m in mults):
@@ -198,10 +197,9 @@ def _cmd_h0(degree, mults, with_p7, general_point, seed, format) -> int:
         if len(mults) > len(cfg.points):
             raise ValueError(
                 f"{len(mults)} multiplicities but only {len(cfg.points)} points")
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        value = h0_class(cfg, DivisorClass(
-            degree, mults + [0] * (len(cfg.points) - len(mults))))
+        system = FatPointSystem(
+            degree, tuple((i, m) for i, m in enumerate(mults) if m > 0))
+        value = h0_fat_points(cfg, system)
     except ValueError as exc:
         return _error(exc, 2)
     return _emit(json.dumps({"degree": degree, "mults": mults, "h0": value})
