@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .lattice import BlowupLattice, DivisorClass, Record, riemann_roch_chi
+from .lattice import BlowupLattice, DivisorClass, Record, arithmetic_genus
 from .plane import PointConfiguration, h0_class, reducible_fibres
 
 __all__ = [
@@ -397,8 +397,8 @@ def analyse(bd: BidoubleData, pencil: DivisorClass | None = None,
 
 def double_cover_chi(L: DivisorClass) -> int:
     """chi of a double cover with data 2L = branch, over a base with chi=1:
-    chi(O) + chi(-L)."""
-    return 1 + riemann_roch_chi(-L)
+    chi(O) + chi(-L), chi(-L) being p_a(L)."""
+    return 1 + arithmetic_genus(L)
 
 
 def numeri_identities(k2y: int) -> tuple[int, int]:

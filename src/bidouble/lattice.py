@@ -220,11 +220,13 @@ class BlowupLattice(Record):
 
 
 def riemann_roch_chi(d: DivisorClass) -> int:
-    """chi(D) = chi(O) + D(D-K)/2 with chi(O) = 1 (rational surface): the one
-    Riemann-Roch of the package, whose other forms are chi(-D)."""
-    s = d.dot(d) - sum(d.mults) + 3 * d.degree  # -K.D = 3d - sum(m_i)
-    assert s % 2 == 0, "Riemann-Roch parity violated"
-    return 1 + s // 2
+    """chi(D) = 1 + D(D-K)/2 on a rational surface, D(D-K) = d(d+3) - sum
+    m_i(m_i+1) being even: the one Riemann-Roch; sign -1 gives chi(-D) = p_a(D)."""
+    return _chi(d.degree, d.mults)
+
+
+def _chi(degree: int, mults, sign: int = 1) -> int:
+    return 1 + (degree * (degree + 3 * sign) - sum([m * (m + sign) for m in mults])) // 2
 
 
 def arithmetic_genus(d: DivisorClass) -> int:
@@ -233,7 +235,7 @@ def arithmetic_genus(d: DivisorClass) -> int:
     >>> arithmetic_genus(DivisorClass(0, (0,) * 6))
     1
     """
-    return riemann_roch_chi(-d)
+    return _chi(d.degree, d.mults, -1)
 
 
 def castelnuovo_bound(d: int, r: int) -> int:
