@@ -22,11 +22,12 @@ so every h^0 is taken on the surface the cover was built on.  ``analyse``
 returns one report: seven h^0 (three adjoint, one invariant, three
 character classes), the contraction bookkeeping and the double fibres.
 
-Each smooth rational branch component G in D_i is covered by a double
-cover branched at b = G.(D_j + D_k) = 2 G.L_i points: for b = 0 it splits
-into two disjoint curves of self-intersection G^2/2 (the (-1)-pairs among
-these are contracted to reach the minimal model), for b > 0 it stays
-irreducible of genus b/2 - 1 with self-intersection G^2.
+Each branch component G in D_i, a smooth curve of arithmetic genus p_a,
+is covered by a double cover branched at b = G.(D_j + D_k) = 2 G.L_i
+points: for b = 0 and G rational it splits into two disjoint curves of
+self-intersection G^2/2 (the (-1)-pairs among these are contracted to
+reach the minimal model), for b > 0 it stays irreducible of genus
+2 p_a - 1 + b/2 (Riemann-Hurwitz) with self-intersection G^2.
 
 A member of a conic-bundle pencil |F| (F^2 = 0, K.F = -2, F nef) pulls
 back with multiplicity 2 exactly when each of its components is either a
@@ -77,7 +78,7 @@ class RelationError(ValueError):
 
 
 class IncidenceError(ValueError):
-    """A branch divisor is not smooth, or the blown-up point is not general."""
+    """A component is no curve, a D_i not smooth, or the new point not general."""
 
 
 class InvariantConsistencyError(ValueError):
@@ -98,7 +99,7 @@ class BranchComponent(Record):
         if branch not in (1, 2, 3):
             raise ValueError("branch index must be 1, 2 or 3")
         if count < 1:
-            raise ValueError("count must be >= 1")
+            raise ValueError(f"component {name!r}: count must be >= 1")
         self._set(name, cls, branch, count)
 
 
@@ -108,9 +109,10 @@ class BidoubleData(Record):
     given or derived by halving is the caller's to know, not a field.
 
     Raises :class:`RelationError` with the residue of each violated cover
-    relation, then :class:`IncidenceError` when two components of one D_i
-    meet (a class listed twice unless C^2 = 0) or a class of negative
-    square lies in two D_i, so that D is not reduced."""
+    relation, then :class:`IncidenceError` naming the first component whose
+    class is no curve (``PointConfiguration.is_curve``), or when two
+    components of one D_i meet (a class listed twice unless C^2 = 0) or a
+    class of negative square lies in two D_i, so that D is not reduced."""
 
     __slots__ = ("configuration", "components", "L1", "L2", "__dict__")
 
@@ -120,12 +122,12 @@ class BidoubleData(Record):
         n = configuration.lattice.n
         if len({c.name for c in components}) != len(components):
             raise ValueError("branch components must be pairwise distinct")
-        tally, classes = {}, {}  # (branch, degree, mults) -> members, class
+        tally, first = {}, {}  # (branch, degree, mults) -> members, component
         for c in components:
             if len(c.cls.mults) != n:
                 raise ValueError(f"component {c.name} lives on the wrong lattice")
             key = c.branch, c.cls.degree, c.cls.mults
-            tally[key], classes[key] = tally.get(key, 0) + c.count, c.cls
+            tally[key], first[key] = tally.get(key, 0) + c.count, first.get(key, c)
         for lname, cls in (("L1", L1), ("L2", L2)):
             if len(cls.mults) != n:
                 raise ValueError(f"{lname} lives on the wrong lattice")
@@ -133,7 +135,7 @@ class BidoubleData(Record):
         # D_1, D_2, D_3 row by row, and smoothness: products inside one D_i
         # only (a.(k*b) is zero iff a.b is), one dict for a rigid curve in two
         rows, branch_of, smooth = ([], [], []), {}, True
-        items = [(key[0], classes[key], k) for key, k in tally.items()]
+        items = [(key[0], first[key].cls, k) for key, k in tally.items()]
         for i, a, k in items:
             row = rows[i - 1]
             if smooth and (any(map(a.dot, row)) or k > 1 and a.dot(a)
@@ -152,6 +154,13 @@ class BidoubleData(Record):
             ("2L2 - (D1+D3)", 2 * L2 - (d1 + d3))) if r.degree or any(r.mults)]
         if residues:
             raise RelationError(residues)
+        for c in first.values():  # the first component that is no curve
+            if not configuration.is_curve(cls := c.cls):
+                why = "its class is 0" if not any(cls.to_vector()) else \
+                    f"h^0({cls}) = 0" if not h0_class(configuration, cls) else \
+                    f"{cls} is the class of no irreducible curve"
+                raise IncidenceError(f"component {c.name!r} is no curve on the "
+                                     f"configuration: {why}")
         if smooth:
             return
         for j, (i, a, count) in enumerate(items):  # the first bad pair
@@ -213,36 +222,31 @@ class BranchPreimage(Record):
 
 
 def branch_preimage(bd: BidoubleData, name: str) -> BranchPreimage:
-    """Preimage of a smooth rational branch component in the cover."""
+    """Preimage of a smooth branch component in the cover; ``ValueError``
+    when b = 0 and p_a > 0, where the classes do not decide a split."""
     return _preimage(bd, bd.component(name))
 
 
+# G in D_i with b = G.(D_j + D_k) = 0 meets D_j and D_k in 0, every term
+# being >= 0 between curves, so G.D_i = 2 G.L_j - G.D_k is even; smoothness
+# makes G.D_i equal to G^2 (or 0 when G repeats): sq // 2 is exact.
 def _preimage(bd: BidoubleData, comp: BranchComponent) -> BranchPreimage:
     name = comp.name
     b = comp.cls.dot(bd._residuals[comp.branch - 1])
-    sq = comp.cls.dot(comp.cls)
-    if b == 0:
-        if sq % 2 != 0:
-            raise ValueError(
-                f"component {name} with b=0 must have even self-intersection, "
-                f"got {sq}")
-        half = sq // 2
-        return BranchPreimage(name, 0, True, 2, half, 0,
-                              contracted=2 if half == -1 else 0)
-    return BranchPreimage(name, b, False, 1, sq, b // 2 - 1, contracted=0)
+    sq, pa = comp.cls.dot(comp.cls), arithmetic_genus(comp.cls)
+    if b:  # Riemann-Hurwitz
+        return BranchPreimage(name, b, False, 1, sq, 2 * pa - 1 + b // 2, 0)
+    if pa:
+        raise ValueError(f"whether component {name} of genus {pa} with b=0 "
+                         "splits is not decided by its class")
+    return BranchPreimage(name, 0, True, 2, sq // 2, 0, 2 if sq == -2 else 0)
 
 
 def contraction_count(bd: BidoubleData) -> int:
     """Total number of (-1)-curves contracted towards the minimal model."""
-    residuals, total = bd._residuals, 0
-    for c in bd.components:
-        if not c.cls.dot(residuals[c.branch - 1]):  # b = 0: G splits
-            sq = c.cls.dot(c.cls)
-            if sq == -2:
-                total += 2 * c.count
-            elif sq % 2:
-                _preimage(bd, c)  # raises: a split curve has even square
-    return total
+    residuals = bd._residuals
+    return sum([2 * c.count for c in bd.components if c.cls.dot(c.cls) == -2
+                and not c.cls.dot(residuals[c.branch - 1])])  # b = 0: G splits
 
 
 class InvariantReport(Record):

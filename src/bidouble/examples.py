@@ -28,9 +28,9 @@ import os
 from functools import cache
 from operator import index
 
-from .covers import BidoubleData, BranchComponent, IncidenceError, analyse
+from .covers import BidoubleData, BranchComponent, analyse
 from .lattice import DivisorClass
-from .plane import PointConfiguration, h0_class, standard_quadrilateral
+from .plane import PointConfiguration, standard_quadrilateral
 
 __all__ = ["example1", "example2", "example3", "halve", "data_path",
            "load_document", "configuration_of", "cover_from_document",
@@ -93,35 +93,17 @@ def cover_from_document(doc: dict, seed: int = 0) -> BidoubleData:
     multiplicity}], L1, L2} with L1/L2 optional: a missing one is derived
     by exact halving, a given one is checked by ``BidoubleData``.  branch 0
     entries are unbranched catalogue declarations and are ignored for the
-    cover itself.  multiplicity k becomes the component's count.  Raises
-    :class:`covers.IncidenceError` when a branch component's class is that
-    of no irreducible curve on the configuration.
+    cover itself.  multiplicity k becomes the component's count.  The
+    cover checks are ``BidoubleData``'s, after the halving: the relations,
+    then that each class is that of an irreducible curve on the
+    configuration (:class:`covers.IncidenceError`), then smoothness.
     """
     cfg = configuration_of(doc, seed)
     lat = cfg.lattice
-    curves = {(e.cls.degree, e.cls.mults) for e in cfg.negative_entries}
-    curves.update(cfg.conic_bundles)
-    comps = []
-    for raw in doc["components"]:
-        branch = index(raw["branch"])
-        if branch == 0:
-            continue
-        cls = lat.from_vector(raw["class"])
-        mult = index(raw.get("multiplicity", 1))
-        if mult < 1:
-            raise ValueError(
-                f"component {raw['name']!r}: multiplicity must be >= 1")
-        # a curve on at most seven points is negative, a conic bundle F, or
-        # big and nef, so base-point free (Harbourne); k*F with k > 1 is none
-        curve = (cls.degree, cls.mults) in curves or cls.dot(cls) > 0 and all(
-            cls.dot(e.cls) >= 0 for e in cfg.negative_entries)
-        why = "its class is 0" if not any(cls.to_vector()) else None if curve \
-            else f"h^0({cls}) = 0" if not h0_class(cfg, cls) else \
-            f"{cls} is the class of no irreducible curve"
-        if why:
-            raise IncidenceError(f"component {raw['name']!r} is no curve on "
-                                 f"the configuration: {why}")
-        comps.append(BranchComponent(raw["name"], cls, branch, mult))
+    comps = [BranchComponent(raw["name"], lat.from_vector(raw["class"]),
+                             index(raw["branch"]),
+                             index(raw.get("multiplicity", 1)))
+             for raw in doc["components"] if index(raw["branch"])]
     l1 = lat.from_vector(doc["L1"]) if "L1" in doc else None
     l2 = lat.from_vector(doc["L2"]) if "L2" in doc else None
     if l1 is None or l2 is None:

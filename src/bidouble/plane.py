@@ -22,7 +22,8 @@ or 2) and every answer is lattice arithmetic on its negative curves:
   a line, six on a conic) is decided by integer 3x3 determinants;
 * ``PointConfiguration.conic_bundles`` -- every conic bundle (F^2 = 0,
   K.F = -2, F nef), also derived once per configuration; both tables come
-  from one shape table, ``_SHAPES``, and one nef test, ``_meets_all``;
+  from one shape table, ``_SHAPES``, and one nef test, ``_meets_all``, and
+  ``is_curve`` decides by them whether a class holds an irreducible curve;
 * ``h0_class`` -- h^0 of a divisor class: negative curves meeting the class
   negatively are split off as fixed parts, many copies at a time, and the
   nef residue has h^0 = chi by Riemann-Roch and Kawamata-Viehweg;
@@ -241,6 +242,19 @@ class PointConfiguration(Record):
         curve non-negatively.  Cached."""
         return tuple(f for f in _candidates(self.lattice.n, _SHAPES[0])
                      if _meets_all(*f, self._negative_curves))
+
+    def is_curve(self, cls: DivisorClass) -> bool:
+        """Whether ``cls`` is the class of an irreducible curve: a negative
+        curve, a conic bundle, or nef of positive square, hence base-point
+        free (Harbourne, 1997); k*F with k > 1 is none.  On at most one
+        point no negative curve bounds the degree, so l must meet it too."""
+        if cls.n != self.lattice.n:
+            raise ValueError("class does not live on the configuration's lattice")
+        curves, key = self._negative_curves, (cls.degree, cls.mults)
+        sq = cls.degree ** 2 - sum(map(mul, cls.mults, cls.mults))
+        return key in self.conic_bundles if sq == 0 else \
+            cls.degree >= 0 and _meets_all(*key, curves) if sq > 0 else \
+            (*key, -sq) in curves
 
     # the answers of h0_class and reducible_fibres, by (degree, mults)
     _h0_memo = cached_property(lambda self: {})

@@ -228,6 +228,122 @@ def test_branch_preimage_corrupt_inputs():
         ), L1=zero, L2=zero)
 
 
+def test_branch_preimage_genus_of_a_curve_of_positive_genus():
+    # three members A1, A2, A3 of |-K| on P6, one in each D_i: A1 is elliptic
+    # and b = A1.(A2 + A3) = 6, so by Riemann-Hurwitz its preimage has
+    # genus 2*1 - 1 + 6/2 = 4 (b/2 - 1 = 2 counted it as rational)
+    anti = -CFG6.lattice.canonical
+    comps = tuple(BranchComponent(f"A{i}", anti, i) for i in (1, 2, 3))
+    pre = branch_preimage(BidoubleData(CFG6, comps, anti, anti), "A1")
+    assert (pre.branch_degree, pre.splits, pre.genus) == (6, False, 4)
+    # -K + S1 + Delta3bar + S3 on P7, with D2 and D3 empty: b = 0 for -K,
+    # whose preimage is an unramified double cover of an elliptic curve,
+    # split or not; the classes do not tell, so it is refused
+    comps = tuple(BranchComponent(name, cls, 1) for name, cls in (
+        ("A", -CFG7.lattice.canonical), ("S1", CFG7.cls("S1")),
+        ("Delta3bar", CFG7.cls("Delta3bar")), ("S3", CFG7.cls("S3"))))
+    d1 = sum((c.cls for c in comps), CFG7.lattice.zero)
+    bd = BidoubleData(CFG7, comps, CFG7.lattice.zero, halve(d1))
+    with pytest.raises(ValueError, match="component A of genus 1"):
+        branch_preimage(bd, "A")
+    assert branch_preimage(bd, "S1").splits
+
+
+def _smooth_sets(pool, size):
+    """Every multiset of at most ``size`` classes of ``pool`` meeting
+    pairwise in 0, a class repeated only when its square is 0."""
+    stack = [((), 0)]
+    while stack:
+        chosen, start = stack.pop()
+        yield chosen
+        for j in range(start, len(pool) if len(chosen) < size else 0):
+            c = pool[j]
+            if all(c.dot(a) == 0 for a in chosen) and \
+                    (not chosen or chosen[-1] != c or c.dot(c) == 0):
+                stack.append((chosen + (c,), j))
+
+
+def test_split_components_have_even_square():
+    # seeded random data on P6 and P7: each D_i a smooth set of negative
+    # curves and conic bundles, the three of one parity mod 2, so that
+    # halve gives L1 and L2.  On each datum that builds, a component with
+    # b = 0 has even square (covers._preimage and contraction_count keep no
+    # check of it), and contraction_count adds up the preimages
+    built = split = contracted = 0
+    for cfg in (CFG6, CFG7):
+        rng, zero = random.Random(7), cfg.lattice.zero
+        pool = [e.cls for e in cfg.negative_entries]
+        pool += [DivisorClass(*f) for f in cfg.conic_bundles]
+        by_parity = {}
+        for chosen in _smooth_sets(pool, 5):
+            total = sum(chosen, zero)
+            key = total.degree % 2, tuple(m % 2 for m in total.mults)
+            by_parity.setdefault(key, []).append(chosen)
+        parities = sorted(by_parity)
+        for _ in range(1500):
+            sets = rng.choices(by_parity[rng.choice(parities)], k=3)
+            comps = tuple(BranchComponent(f"G{i}.{j}", c, i)
+                          for i, chosen in enumerate(sets, 1)
+                          for j, c in enumerate(chosen))
+            d1, d2, d3 = (sum(chosen, zero) for chosen in sets)
+            try:
+                bd = BidoubleData(cfg, comps, halve(d2 + d3), halve(d1 + d3))
+            except IncidenceError:  # a negative curve in two D_i
+                continue
+            built += 1
+            pres = [branch_preimage(bd, c.name) for c in comps]
+            for c, pre in zip(comps, pres):
+                if pre.branch_degree == 0:
+                    split += 1
+                    assert c.cls.dot(c.cls) % 2 == 0
+                    assert 2 * pre.self_intersection == c.cls.dot(c.cls)
+                    contracted += pre.contracted > 0
+            assert contraction_count(bd) == sum(
+                c.count * pre.contracted for c, pre in zip(comps, pres))
+    assert built > 150 and split > 500 and contracted > 30
+
+
+def test_resolved_components_are_curves():
+    # resolve_111 builds on the general point of every seed 0..99: each
+    # resolved component is the class of an irreducible curve there
+    for seed in range(100):
+        cfg = standard_quadrilateral(with_general_point=True, seed=seed)
+        out = resolve_111(example1(), cfg, THROUGH)
+        assert all(cfg.is_curve(c.cls) for c in out.components), seed
+
+
+def test_building_data_refuses_what_documents_refuse():
+    # the messages of test_cli_custom_refuses_a_component_that_is_no_curve,
+    # from the Python API: 2e4 added to D1 of example 1 (with L2 + e4), and
+    # 2 f1 in place of f1 + f1' in D3; the first component that is no curve
+    # is named
+    bd = example1()
+    e4 = CFG6.lattice.exceptional(4)
+    two_e = BranchComponent("twoE", 2 * e4, 1)
+    zero = BranchComponent("z", CFG6.lattice.zero, 2)
+    two_f = tuple(c.replace(name="twoF", cls=2 * c.cls) if c.name == "f1"
+                  else c for c in bd.components if c.name != "f1p")
+    for build, message in (
+            (lambda: bd.replace(components=bd.components + (two_e,),
+                                L2=bd.L2 + e4),
+             "component 'twoE' is no curve on the configuration: 2e4 is the "
+             "class of no irreducible curve"),
+            (lambda: bd.replace(components=two_f),
+             "component 'twoF' is no curve on the configuration: "
+             "4l-2e2-2e4-2e5-2e6 is the class of no irreducible curve"),
+            (lambda: bd.replace(components=(zero,) + bd.components + (two_e,),
+                                L2=bd.L2 + e4),
+             "component 'z' is no curve on the configuration: its class is 0")):
+        with pytest.raises(IncidenceError) as err:
+            build()
+        assert str(err.value) == message
+    # the relations are checked first: 2e4 with L2 left as it was
+    with pytest.raises(RelationError):
+        bd.replace(components=bd.components + (two_e,))
+    with pytest.raises(ValueError, match="component 'x': count must be >= 1"):
+        BranchComponent("x", e4, 1, 0)
+
+
 # the members of D1, D2, D3 of example 1 sent through the general point
 THROUGH = ("f2", "f3", "f1")
 

@@ -656,6 +656,42 @@ def test_conic_bundles_match_a_brute_force():
         assert pencils <= brute
 
 
+def test_is_curve_matches_the_h0_walk():
+    # a class holds an irreducible curve iff it is a negative curve, or the
+    # walk of h0_class splits nothing off it and it has positive square or
+    # is a conic bundle F (-K.F = 2, not k*F with k > 1).  Degrees 0..6,
+    # multiplicities 0..3 on P6 and 0..2 on seven points
+    general = standard_quadrilateral(with_general_point=True, seed=0)
+    for cfg, top in ((standard_quadrilateral(), 3),
+                     (standard_quadrilateral(with_p7=True), 2), (general, 2)):
+        negative = {e.cls for e in cfg.negative_entries}
+        curves = 0
+        for d in range(7):
+            for m in itertools.product(range(top + 1), repeat=cfg.lattice.n):
+                c, sq = DivisorClass(d, m), d * d - sum(x * x for x in m)
+                walk = _fixed_part(cfg, d, m)
+                want = c in negative or walk is not None and not walk[1] and (
+                    sq > 0 or sq == 0 and 3 * d - sum(m) == 2)
+                assert cfg.is_curve(c) == want, (cfg.lattice.n, c)
+                curves += want
+        assert all(map(cfg.is_curve, negative)) and curves > 1000
+
+
+def test_is_curve_on_few_points():
+    # with at most one point no negative curve bounds the degree: (-2; 1)
+    # has positive square and meets e1 in 1, but no sections
+    one = PointConfiguration(((1, 0, 0),), ())
+    assert not one.is_curve(DivisorClass(-2, (1,)))
+    assert [one.is_curve(DivisorClass(d, (m,))) for d, m in
+            ((0, -1), (1, 1), (2, 1), (2, 2), (1, 0), (0, 0), (1, -1))] == \
+        [True, True, True, False, True, False, False]
+    plane = PointConfiguration((), ())
+    assert [plane.is_curve(DivisorClass(d, ())) for d in (-1, 0, 1, 3)] == \
+        [False, False, True, True]
+    with pytest.raises(ValueError, match="lattice"):
+        one.is_curve(DivisorClass(1, (0, 0)))
+
+
 def test_interpolation_dimension_standalone():
     # raw-point interface used by the random suites
     pts = [(Fraction(1), Fraction(0), Fraction(0)),
